@@ -23,18 +23,11 @@ from .linearder import (
     matrix_to_json,
     verify_decomposition,
 )
-from .oracle import (
-    centralizer_basis,
-    derivation_span_equal,
-    kernel_power_basis,
-    module_span_check,
-    rank_over_fractions,
-)
+from .oracle import kernel_power_basis, rank_over_fractions
 from .registry import registry_entry
-from .verify import first_failure, run_verification
+from .verify import VerificationRun, first_failure, run_verification
 from .weitzenboeck import (
     centralizer_generators,
-    commuting_derivation,
     generator_set,
     sl2_triple,
     weitzenboeck_derivation,
@@ -224,19 +217,13 @@ def cmd_oracle_kernel(args) -> int:
 
 def cmd_oracle_thm2(args) -> int:
     n = _require_n(args.n)
-    entry = registry_entry(n, args.registry)
-    D = weitzenboeck_derivation(n)
+    run = VerificationRun(n, args.deg, registry_entry(n, args.registry).generators)
     checks = []
-    all_ok = True
     for i in range(1, n + 1):
-        S = generator_set(n, entry.generators, i)
-        target = kernel_power_basis(D, i, args.deg)
-        res = module_span_check(S, entry.generators, target, args.deg)
-        all_ok = all_ok and res.ok
-        checks.append(
-            {"i": i, "ok": res.ok, "dimension": target.dimension(),
-             "certificate": res.certificate}
-        )
+        _, target, res = run.span_check(i)
+        checks.append({"i": i, "ok": res.ok, "dimension": target.dimension(),
+                       "certificate": res.certificate})
+    all_ok = all(c["ok"] for c in checks)
     result = {"n": n, "degree": args.deg, "ok": all_ok, "certificate": checks}
     lines = [f"power-kernel span checks n={n} deg={args.deg}:"] + [
         f"  i={c['i']}: {'PASS' if c['ok'] else 'FAIL'} "
@@ -248,33 +235,20 @@ def cmd_oracle_thm2(args) -> int:
 
 def cmd_oracle_prop1(args) -> int:
     n = _require_n(args.n)
-    D = weitzenboeck_derivation(n)
-    enumerated = centralizer_basis(D, args.deg)
-    ladders = [
-        commuting_derivation(f, n)
-        for f in kernel_power_basis(D, n, args.deg).vectors
-    ]
-    ok = derivation_span_equal(enumerated, ladders)
+    ok, dimension, count = VerificationRun(n, args.deg).ladder_check()
     result = {
         "n": n,
         "degree": args.deg,
         "ok": ok,
-        "certificate": {
-            "enumerated_dimension": len(enumerated),
-            "ladder_count": len(ladders),
-        },
+        "certificate": {"enumerated_dimension": dimension, "ladder_count": count},
     }
     text = (
         f"centralizer/ladder span equality n={n} deg={args.deg}: "
         f"{'PASS' if ok else 'FAIL'} "
-        f"(enumerated dim {len(enumerated)}, ladders {len(ladders)})"
+        f"(enumerated dim {dimension}, ladders {count})"
     )
     _emit(args, "oracle verify-prop1", result, text)
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
-
-
-def cmd_oracle_rank(args) -> int:
-    return cmd_rank(args)
 
 
 # -- parser -------------------------------------------------------------------
@@ -360,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = osub.add_parser("rank", help="rank of derivations over the fraction field")
     add_common(p, seed=True, input_file=True)
-    p.set_defaults(handler=cmd_oracle_rank)
+    p.set_defaults(handler=cmd_rank)
 
     return parser
 

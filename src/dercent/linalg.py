@@ -13,12 +13,12 @@ from typing import Sequence
 Row = list[Fraction]
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
-    """Reduced row-echelon form; returns (nonzero rows, pivot columns)."""
-    m = [list(map(Fraction, row)) for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
+def _eliminate(m: list[Row], ncols: int) -> list[int]:
+    """Gauss-Jordan on m in place, pivoting only in the first ncols columns.
+
+    Returns the pivot columns: row k holds the pivot of pivots[k], and the
+    later rows are zero in the first ncols columns.
+    """
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -36,7 +36,16 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
         r += 1
         if r == len(m):
             break
-    return m[:r], pivots
+    return pivots
+
+
+def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
+    """Reduced row-echelon form; returns (nonzero rows, pivot columns)."""
+    m = [list(map(Fraction, row)) for row in rows]
+    if not m:
+        return [], []
+    pivots = _eliminate(m, len(m[0]))
+    return m[: len(pivots)], pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -91,23 +100,8 @@ def solve_many(
         + [Fraction(t[i]) for t in targets]
         for i in range(nrows)
     ]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if aug[i][c]), None)
-        if pivot_row is None:
-            continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+    pivots = _eliminate(aug, ncols)
+    r = len(pivots)
     solutions: list[list[Fraction] | None] = []
     for k in range(len(targets)):
         tcol = ncols + k

@@ -400,10 +400,11 @@ def rank_over_fractions(
 ) -> RankResult:
     """Rank of the n x |Ts| coefficient matrix over the fraction field.
 
-    Evaluates at uniform random integer points in [-10^6, 10^6]; a rank
-    is accepted once two consecutive samples agree (specialization can
-    only drop rank, never raise it).  If the retry budget runs out the
-    symbolic fraction-free path decides.
+    Evaluates at uniform random integer points in [-10^6, 10^6]; sampling
+    stops once two consecutive samples agree, and the answer is the
+    largest sampled rank (specialization can only drop rank, never raise
+    it, so every sample is a lower bound).  If the retry budget runs out
+    the symbolic fraction-free path decides.
     """
     if not derivations:
         raise PreconditionError("need at least one derivation")
@@ -430,7 +431,7 @@ def rank_over_fractions(
     while ranks[-1] != ranks[-2] and len(ranks) < 2 + max_retries:
         ranks.append(sample())
     if ranks[-1] == ranks[-2]:
-        return RankResult(ranks[-1], "sampled", tuple(points), tuple(ranks))
+        return RankResult(max(ranks), "sampled", tuple(points), tuple(ranks))
     exact = symbolic_rank(coeff_matrix)
     return RankResult(exact, "symbolic", tuple(points), tuple(ranks))
 

@@ -1,31 +1,39 @@
 """End-to-end verification suite driven by the command line.
 
 Each item pits a constructive result against the brute-force oracles:
-sl2 commutation relations, module spans of the power-kernel generating
-sets, exact commutation of the constructed centralizer generators, span
-equality between the enumerated centralizer and the coefficient-ladder
-derivations, decomposition round-trips over the constants field, and
-the fraction-field rank of the generator family.
+sl2 commutation relations (checked when the triple is built), module
+spans of the power-kernel generating sets, exact commutation of the
+constructed centralizer generators, span equality between the
+enumerated centralizer and the coefficient-ladder derivations,
+decomposition round-trips over the constants field, and the
+fraction-field rank of the generator family.  The span and ladder
+checks are also the `oracle verify-thm2` and `oracle verify-prop1`
+commands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import Sequence
 
+from .errors import PreconditionError
 from .linearder import (
     decompose_over_constants,
     jordan_nilpotent,
     verify_decomposition,
 )
 from .oracle import (
+    GradedBasis,
     centralizer_basis,
     derivation_span_equal,
     kernel_power_basis,
     module_span_check,
     rank_over_fractions,
 )
-from .registry import KernelEntry, registry_entry
+from .poly import Poly
+from .registry import registry_entry
 from .weitzenboeck import (
     centralizer_generators,
     commuting_derivation,
@@ -53,13 +61,57 @@ class ItemResult:
         return out
 
 
-def _guarded(name: str, fn) -> ItemResult:
+class VerificationRun:
+    """The constructions of one run up to a truncation degree.
+
+    Each is built on first use and kept on the instance, so the checks of
+    one run share it and a new run builds it afresh.
+    """
+
+    def __init__(self, n: int, degree: int, kernel_gens: Sequence[Poly] = ()):
+        if degree < 0:
+            raise PreconditionError("degree must be >= 0")
+        self.n, self.degree, self.kernel_gens = n, degree, kernel_gens
+        self.D = weitzenboeck_derivation(n)
+        self._kernels: dict[int, GradedBasis] = {}
+
+    def kernel(self, level: int) -> GradedBasis:
+        if level not in self._kernels:
+            self._kernels[level] = kernel_power_basis(self.D, level, self.degree)
+        return self._kernels[level]
+
+    @cached_property
+    def centralizer(self):
+        return centralizer_basis(self.D, self.degree)
+
+    @cached_property
+    def generators(self):
+        return centralizer_generators(self.n, self.kernel_gens)
+
+    def span_check(self, level: int):
+        """(generating set, kernel basis, SpanCheckResult) of D^level."""
+        S = generator_set(self.n, self.kernel_gens, level)
+        target = self.kernel(level)
+        return S, target, module_span_check(S, self.kernel_gens, target, self.degree)
+
+    def ladder_check(self) -> tuple[bool, int, int]:
+        """(spans equal, enumerated dimension, ladder count)."""
+        enumerated = self.centralizer
+        ladders = [
+            commuting_derivation(f, self.n) for f in self.kernel(self.n).vectors
+        ]
+        ok = derivation_span_equal(enumerated, ladders)
+        return ok, len(enumerated), len(ladders)
+
+
+def _item(name: str, check, *args) -> ItemResult:
     try:
-        return fn()
+        ok, detail, certificate = check(*args)
     except Exception as exc:  # report failures as items, do not crash the suite
         return ItemResult(
             name, False, f"{type(exc).__name__}: {exc}", {"error": str(exc)}
         )
+    return ItemResult(name, ok, detail, certificate)
 
 
 def run_verification(
@@ -68,105 +120,82 @@ def run_verification(
     seed: int = 0,
     registry_path: str | Path | None = None,
 ) -> list[ItemResult]:
-    entry: KernelEntry = registry_entry(n, registry_path)
-    D = weitzenboeck_derivation(n)
-    items: list[ItemResult] = []
+    run = VerificationRun(n, degree, registry_entry(n, registry_path).generators)
+    D = run.D
 
-    def sl2_item() -> ItemResult:
-        triple = sl2_triple(n)
-        ok = (
-            triple.d.bracket(triple.dhat) == triple.h
-            and triple.h.bracket(triple.d) == triple.d * 2
-            and triple.h.bracket(triple.dhat) == triple.dhat * (-2)
+    # Each check returns (ok, detail, certificate or None).
+    def check_sl2():
+        sl2_triple(n)  # raises PreconditionError unless the relations hold
+        return True, "commutation relations hold exactly", None
+
+    def check_span(level: int):
+        S, target, result = run.span_check(level)
+        return (
+            result.ok,
+            f"kernel of D^{level} up to degree {degree}: "
+            f"{target.dimension()} basis vectors against {len(S.elements)} "
+            f"generators",
+            result.certificate if not result.ok else None,
         )
-        return ItemResult("sl2-relations", ok, "commutation relations hold exactly")
 
-    items.append(_guarded("sl2-relations", sl2_item))
-
-    for i in range(1, n + 1):
-        def span_item(level: int = i) -> ItemResult:
-            S = generator_set(n, entry.generators, level)
-            target = kernel_power_basis(D, level, degree)
-            result = module_span_check(S, entry.generators, target, degree)
-            return ItemResult(
-                f"power-kernel-span-i{level}",
-                result.ok,
-                f"kernel of D^{level} up to degree {degree}: "
-                f"{target.dimension()} basis vectors against {len(S.elements)} "
-                f"generators",
-                result.certificate if not result.ok else None,
-            )
-
-        items.append(_guarded(f"power-kernel-span-i{i}", span_item))
-
-    def commutation_item() -> ItemResult:
-        gens = centralizer_generators(n, entry.generators)
-        for g in gens:
+    def check_commutation():
+        for g in run.generators:
             if not g.derivation.bracket(D).is_zero():
-                return ItemResult(
-                    "centralizer-commutation",
+                return (
                     False,
                     f"generator from s = {g.element.poly} does not commute",
                     {"element": g.element.to_json()},
                 )
-        return ItemResult(
-            "centralizer-commutation",
-            True,
-            f"all {len(gens)} constructed generators commute exactly",
-        )
+        count = len(run.generators)
+        return True, f"all {count} constructed generators commute exactly", None
 
-    items.append(_guarded("centralizer-commutation", commutation_item))
-
-    def ladder_item() -> ItemResult:
-        enumerated = centralizer_basis(D, degree)
-        ladders = [
-            commuting_derivation(f, n)
-            for f in kernel_power_basis(D, n, degree).vectors
-        ]
-        ok = derivation_span_equal(enumerated, ladders)
-        return ItemResult(
-            "commuting-ladder-equivalence",
+    def check_ladder():
+        ok, dimension, count = run.ladder_check()
+        return (
             ok,
-            f"enumerated centralizer (dim {len(enumerated)}) vs coefficient "
-            f"ladders (count {len(ladders)}) at degree {degree}",
+            f"enumerated centralizer (dim {dimension}) vs coefficient "
+            f"ladders (count {count}) at degree {degree}",
+            None,
         )
 
-    items.append(_guarded("commuting-ladder-equivalence", ladder_item))
-
-    def decompose_item() -> ItemResult:
+    def check_decompose():
         cap = min(degree, DECOMPOSE_DEGREE_CAP)
         block = jordan_nilpotent(n)
-        for T in centralizer_basis(D, cap):
+        # The enumerated basis is assembled one coefficient degree at a
+        # time, so this is the basis up to the cap, in the same order.
+        for T in run.centralizer:
+            if max(c.total_degree() for c in T.coeffs) > cap:
+                continue
             dec = decompose_over_constants(T, block)
             if not verify_decomposition(dec, D):
-                return ItemResult(
-                    "constants-decomposition-roundtrip",
-                    False,
-                    f"round-trip failed for {T}",
-                    {"derivation": T.to_json()},
-                )
-        return ItemResult(
-            "constants-decomposition-roundtrip",
+                return False, f"round-trip failed for {T}", {"derivation": T.to_json()}
+        return (
             True,
             f"every enumerated centralizer element of coefficient degree <= "
             f"{cap} decomposes and recombines exactly",
+            None,
         )
 
-    items.append(_guarded("constants-decomposition-roundtrip", decompose_item))
-
-    def rank_item() -> ItemResult:
-        gens = centralizer_generators(n, entry.generators)
-        result = rank_over_fractions([g.derivation for g in gens], seed=seed)
-        return ItemResult(
-            "fraction-rank",
+    def check_rank():
+        result = rank_over_fractions([g.derivation for g in run.generators], seed=seed)
+        return (
             result.rank == n,
             f"rank {result.rank} over the fraction field (expected {n}), "
             f"method {result.method}",
             result.to_json() if result.rank != n else None,
         )
 
-    items.append(_guarded("fraction-rank", rank_item))
-    return items
+    return [
+        _item("sl2-relations", check_sl2),
+        *(
+            _item(f"power-kernel-span-i{level}", check_span, level)
+            for level in range(1, n + 1)
+        ),
+        _item("centralizer-commutation", check_commutation),
+        _item("commuting-ladder-equivalence", check_ladder),
+        _item("constants-decomposition-roundtrip", check_decompose),
+        _item("fraction-rank", check_rank),
+    ]
 
 
 def first_failure(items: list[ItemResult]) -> ItemResult | None:

@@ -1,9 +1,15 @@
 """Command-line contract: payloads, formats, exit codes, reproducibility."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import dercent
 from dercent import __version__
 from dercent.cli import main
 from dercent.derivation import Derivation
@@ -17,6 +23,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_registry(path, n, generators):
+    registry = dict(load_registry())
+    entry = registry[n]
+    registry[n] = KernelEntry(n, generators, entry.source, entry.search_degree)
+    path.write_text(registry_to_json(registry))
+    return str(path)
 
 
 def payload(capsys, *argv):
@@ -164,16 +178,10 @@ class TestVerifyCommand:
         assert "fraction-rank" in names
 
     def test_corrupted_registry_fails_order_check(self, capsys, tmp_path):
-        registry = dict(load_registry())
-        entry = registry[3]
-        x2 = Poly.variable(3, 1)
-        registry[3] = KernelEntry(
-            3, entry.generators + (x2,), "classical", entry.search_degree
-        )
-        bad = tmp_path / "bad_registry.json"
-        bad.write_text(registry_to_json(registry))
+        generators = load_registry()[3].generators + (Poly.variable(3, 1),)
+        bad = write_registry(tmp_path / "bad_registry.json", 3, generators)
         code, out, _ = run_cli(
-            capsys, "verify", "--n", "3", "--deg", "3", "--registry", str(bad)
+            capsys, "verify", "--n", "3", "--deg", "3", "--registry", bad
         )
         assert code == 1
         data = json.loads(out)
@@ -191,6 +199,71 @@ class TestVerifyCommand:
     def test_derived_registry_passes_for_n4(self, capsys):
         data = payload(capsys, "verify", "--n", "4", "--deg", "3")
         assert data["result"]["ok"] is True
+
+    def test_span_failures_match_oracle_verify_thm2(self, capsys, tmp_path):
+        # without its last generator the n=3 registry no longer spans
+        generators = load_registry()[3].generators[:-1]
+        bad = write_registry(tmp_path / "short_registry.json", 3, generators)
+        argv = ("--n", "3", "--deg", "3", "--registry", bad)
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 1
+        from_verify = {
+            int(item["name"].removeprefix("power-kernel-span-i")):
+                item["certificate"]
+            for item in json.loads(out)["result"]["items"]
+            if item["name"].startswith("power-kernel-span-") and not item["ok"]
+        }
+        code, out, _ = run_cli(capsys, "oracle", "verify-thm2", *argv)
+        assert code == 1
+        from_oracle = {
+            check["i"]: check["certificate"]
+            for check in json.loads(out)["result"]["certificate"]
+            if not check["ok"]
+        }
+        assert from_verify
+        assert from_verify == from_oracle
+
+    @pytest.mark.parametrize(
+        "command", [("verify",), ("oracle", "verify-thm2"), ("oracle", "verify-prop1")]
+    )
+    def test_negative_degree_is_precondition_error(self, capsys, command):
+        code, out, err = run_cli(capsys, *command, "--n", "3", "--deg", "-1")
+        assert code == 3
+        assert out == ""
+        assert "degree must be >= 0" in err
+
+
+class TestPinnedOutput:
+    """Default stdout of the checking commands, pinned by SHA-256.
+
+    A change to one of these reports has to be deliberate and update its
+    digest here.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("verify", "--n", "3", "--deg", "3"),
+             "e5607f1467c153bbba2f8cdf215263b2de0d7ca3c59e5e3bbd344d9f62aca77e"),
+            (("verify", "--n", "4", "--deg", "3", "--seed", "7"),
+             "e0d934f88b33316d6a933bc4437b51c607568e3e624aa774b4868c9f8d1ae244"),
+            (("oracle", "verify-thm2", "--n", "3", "--deg", "4"),
+             "85267c89c6372b8424cd12b5201f719827477c8f8f682cea8396917e1933ef12"),
+            (("oracle", "verify-prop1", "--n", "4", "--deg", "3"),
+             "03752c4bde88544b9939b0a8345f873ad1982c7e9852f9ea3bd265fd99eea71e"),
+            (("oracle", "rank", "--input", "rank.json"),
+             "648976170e7628202b799cadfe051d8d0ca43df9888df1a340fa9bf074b7aaa0"),
+        ],
+    )
+    def test_stdout_digest(self, capsys, tmp_path, monkeypatch, argv, digest):
+        # the input path is part of the report, so it is kept relative
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "rank.json").write_text(
+            json.dumps({"derivations": [sl2_triple(3).d.to_json()]})
+        )
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestOracleCommands:
@@ -219,19 +292,23 @@ class TestOracleCommands:
 
 
 class TestConsoleEntryPoint:
-    def test_module_invocation(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "dercent", "--version"],
+    @staticmethod
+    def run_module(*argv):
+        # the child imports the same package as the tests, installed or not
+        src = str(Path(dercent.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "dercent", *argv],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
+
+    def test_module_invocation(self):
+        result = self.run_module("--version")
         assert result.returncode == 0
         assert __version__ in result.stdout
 
     def test_usage_error_exit_code(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "dercent", "no-such-command"],
-            capture_output=True,
-            text=True,
-        )
+        result = self.run_module("no-such-command")
         assert result.returncode == 2

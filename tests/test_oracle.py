@@ -198,6 +198,14 @@ class TestCentralizerBasis:
         with pytest.raises(PreconditionError):
             centralizer_basis(nonlinear, 1)
 
+    def test_lower_degree_basis_is_a_prefix(self):
+        # the verify suite takes the low-degree part of one shared basis
+        # in place of building the basis again at the lower degree
+        full = centralizer_basis(D3, 4)
+        low = [T for T in full if max(c.total_degree() for c in T.coeffs) <= 2]
+        assert low == centralizer_basis(D3, 2)
+        assert low == full[: len(low)]
+
 
 class TestDerivationSpanEqual:
     def test_scalar_scaling_ignored(self):
@@ -241,6 +249,16 @@ class TestRank:
     def test_empty_rejected(self):
         with pytest.raises(PreconditionError):
             rank_over_fractions([])
+
+    def test_largest_sampled_rank_wins(self, monkeypatch):
+        # a specialization can only lower the rank, so a rank-3 sample
+        # proves rank >= 3 even when the later samples agree on 2
+        samples = iter([3, 2, 2])
+        monkeypatch.setattr("dercent.linalg.rank", lambda rows: next(samples))
+        result = rank_over_fractions([D3], seed=0)
+        assert result.sampled_ranks == (3, 2, 2)
+        assert result.method == "sampled"
+        assert result.rank == 3
 
     def test_symbolic_path_agrees(self):
         gens = [g.derivation for g in centralizer_generators(3, [a1, a2])]
