@@ -1,8 +1,12 @@
 """Exact Gaussian elimination over the rationals.
 
-Matrices are plain lists of Fraction rows.  Pivoting takes the first
-nonzero entry scanning columns left to right, so callers control the
-canonical form through their column ordering.
+Matrices cross the public functions as plain lists of dense Fraction
+rows.  Inside, elimination works on sparse rows (column -> nonzero
+Fraction), so a row update costs the support of the pivot row, not the
+width of the matrix, and rows that share no column with the pivot row
+are never touched.  Pivoting takes columns left to right and, in each,
+the first remaining row with a nonzero entry there, so callers control
+the canonical form through their column ordering.
 """
 
 from __future__ import annotations
@@ -11,27 +15,37 @@ from fractions import Fraction
 from typing import Sequence
 
 Row = list[Fraction]
+SparseRow = dict[int, Fraction]
+
+_ZERO = Fraction(0)
 
 
-def _eliminate(m: list[Row], ncols: int) -> list[int]:
+def _eliminate(m: list[SparseRow], ncols: int) -> list[int]:
     """Gauss-Jordan on m in place, pivoting only in the first ncols columns.
 
     Returns the pivot columns: row k holds the pivot of pivots[k], and the
-    later rows are zero in the first ncols columns.
+    later rows are zero in the first ncols columns.  Rows keep only their
+    nonzero entries.
     """
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        pivot_row = next((i for i in range(r, len(m)) if c in m[i]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        prow = m[r] = {j: x * inv for j, x in m[r].items()}
+        for i, row in enumerate(m):
+            f = row.get(c) if i != r else None
+            if f is None:
+                continue
+            for j, b in prow.items():
+                x = row.get(j, _ZERO) - f * b
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -41,11 +55,13 @@ def _eliminate(m: list[Row], ncols: int) -> list[int]:
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
     """Reduced row-echelon form; returns (nonzero rows, pivot columns)."""
-    m = [list(map(Fraction, row)) for row in rows]
-    if not m:
+    if not rows:
         return [], []
-    pivots = _eliminate(m, len(m[0]))
-    return m[: len(pivots)], pivots
+    m = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in rows]
+    ncols = len(rows[0])
+    pivots = _eliminate(m, ncols)
+    reduced = [[row.get(j, _ZERO) for j in range(ncols)] for row in m[: len(pivots)]]
+    return reduced, pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -55,13 +71,16 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Row]:
     """RREF-normalized basis of the right null space."""
     reduced, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    pivot_set = set(pivots)
     basis: list[Row] = []
-    for f in free:
-        v = [Fraction(0)] * ncols
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [_ZERO] * ncols
         v[f] = Fraction(1)
         for row, p in zip(reduced, pivots):
-            v[p] = -row[f]
+            if row[f]:
+                v[p] = -row[f]
         basis.append(v)
     normalized, _ = rref(basis)
     return normalized
@@ -95,21 +114,21 @@ def solve_many(
         return [None if any(t) else [] for t in targets]
     nrows = len(columns[0])
     ncols = len(columns)
-    aug = [
-        [Fraction(columns[j][i]) for j in range(ncols)]
-        + [Fraction(t[i]) for t in targets]
-        for i in range(nrows)
-    ]
+    aug: list[SparseRow] = [{} for _ in range(nrows)]
+    for j, vec in enumerate(list(columns) + list(targets)):
+        for i, x in enumerate(vec):
+            if x:
+                aug[i][j] = Fraction(x)
     pivots = _eliminate(aug, ncols)
     r = len(pivots)
     solutions: list[list[Fraction] | None] = []
     for k in range(len(targets)):
         tcol = ncols + k
-        if any(aug[i][tcol] for i in range(r, nrows)):
+        if any(tcol in aug[i] for i in range(r, nrows)):
             solutions.append(None)
             continue
-        coeffs = [Fraction(0)] * ncols
+        coeffs = [_ZERO] * ncols
         for row_idx, p in enumerate(pivots):
-            coeffs[p] = aug[row_idx][tcol]
+            coeffs[p] = aug[row_idx].get(tcol, _ZERO)
         solutions.append(coeffs)
     return solutions

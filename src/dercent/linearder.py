@@ -67,6 +67,20 @@ def jordan_nilpotent(n: int) -> MatrixQ:
     )
 
 
+def shift_powers(n: int) -> list[MatrixQ]:
+    """The powers N^0, ..., N^(n-1) of N = jordan_nilpotent(n).
+
+    N^k has its ones on the k-th subdiagonal.
+    """
+    return [
+        tuple(
+            tuple(Fraction(1 if i == j + k else 0) for j in range(n))
+            for i in range(n)
+        )
+        for k in range(n)
+    ]
+
+
 def matrix_to_json(a: MatrixQ) -> dict:
     return {"n": len(a), "entries": [[str(x) for x in row] for row in a]}
 
@@ -135,13 +149,7 @@ def nilpotent_power_derivations(n: int) -> list[Derivation]:
     """
     if n < 1:
         raise PreconditionError("n must be >= 1")
-    power = matrix_identity(n)
-    shift = jordan_nilpotent(n)
-    out = []
-    for _ in range(n):
-        out.append(linear_derivation(power))
-        power = matrix_mul(power, shift)
-    return out
+    return [linear_derivation(power) for power in shift_powers(n)]
 
 
 @dataclass(frozen=True)
@@ -190,13 +198,7 @@ def _peel_jordan_block(T: Derivation) -> tuple[CommutantBasis, tuple[RatFunc, ..
             p = p - nums[k] * xs[i - k] * x1 ** (i - 1 - k)
         nums.append(p)
         phis.append(RatFunc(p, x1 ** (i + 1)))
-    power = matrix_identity(n)
-    shift = jordan_nilpotent(n)
-    mats = []
-    for _ in range(n):
-        mats.append(power)
-        power = matrix_mul(power, shift)
-    return CommutantBasis(tuple(mats)), tuple(phis)
+    return CommutantBasis(tuple(shift_powers(n))), tuple(phis)
 
 
 def _solve_ratfunc_system(

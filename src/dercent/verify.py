@@ -14,10 +14,10 @@ commands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
+from .derivation import Derivation
 from .errors import PreconditionError
 from .linearder import (
     decompose_over_constants,
@@ -35,9 +35,11 @@ from .oracle import (
 from .poly import Poly
 from .registry import registry_entry
 from .weitzenboeck import (
-    centralizer_generators,
+    CentralizerGenerator,
+    GeneratorSet,
     commuting_derivation,
     generator_set,
+    ladder_generators,
     sl2_triple,
     weitzenboeck_derivation,
 )
@@ -65,7 +67,9 @@ class VerificationRun:
     """The constructions of one run up to a truncation degree.
 
     Each is built on first use and kept on the instance, so the checks of
-    one run share it and a new run builds it afresh.
+    one run share it and a new run builds it afresh.  A construction that
+    raised is kept as its exception: every later use re-raises the same
+    object instead of building it again.
     """
 
     def __init__(self, n: int, degree: int, kernel_gens: Sequence[Poly] = ()):
@@ -73,24 +77,43 @@ class VerificationRun:
             raise PreconditionError("degree must be >= 0")
         self.n, self.degree, self.kernel_gens = n, degree, kernel_gens
         self.D = weitzenboeck_derivation(n)
-        self._kernels: dict[int, GradedBasis] = {}
+        self._built: dict[tuple, object] = {}
+
+    def _once(self, key: tuple, build, *args):
+        if key not in self._built:
+            try:
+                self._built[key] = build(*args)
+            except Exception as exc:  # kept to be re-raised on every use
+                self._built[key] = exc
+        value = self._built[key]
+        if isinstance(value, Exception):
+            raise value
+        return value
 
     def kernel(self, level: int) -> GradedBasis:
-        if level not in self._kernels:
-            self._kernels[level] = kernel_power_basis(self.D, level, self.degree)
-        return self._kernels[level]
+        return self._once(
+            ("kernel", level), kernel_power_basis, self.D, level, self.degree
+        )
 
-    @cached_property
-    def centralizer(self):
-        return centralizer_basis(self.D, self.degree)
+    def generator_set(self, level: int) -> GeneratorSet:
+        return self._once(
+            ("generator_set", level), generator_set, self.n, self.kernel_gens, level
+        )
 
-    @cached_property
-    def generators(self):
-        return centralizer_generators(self.n, self.kernel_gens)
+    @property
+    def centralizer(self) -> list[Derivation]:
+        return self._once(("centralizer",), centralizer_basis, self.D, self.degree)
+
+    @property
+    def generators(self) -> list[CentralizerGenerator]:
+        return self._once(
+            ("generators",),
+            lambda: ladder_generators(self.n, self.generator_set(self.n)),
+        )
 
     def span_check(self, level: int):
         """(generating set, kernel basis, SpanCheckResult) of D^level."""
-        S = generator_set(self.n, self.kernel_gens, level)
+        S = self.generator_set(level)
         target = self.kernel(level)
         return S, target, module_span_check(S, self.kernel_gens, target, self.degree)
 

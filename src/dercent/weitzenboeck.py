@@ -228,12 +228,18 @@ def centralizer_generators(
 ) -> list[CentralizerGenerator]:
     """Module generators of the centralizer of the Weitzenboeck derivation.
 
-    Builds the level-n generator set and attaches to each element s the
-    derivation with coefficient ladder D^(n-i)(s).  Every s must satisfy
-    D^n(s) = 0; a violation means the supplied kernel generators were
-    not actually kernel elements and raises RegistryError.
+    Builds the level-n generator set and passes it to ladder_generators.
     """
-    S = generator_set(n, kernel_gens, n)
+    return ladder_generators(n, generator_set(n, kernel_gens, n))
+
+
+def ladder_generators(n: int, S: GeneratorSet) -> list[CentralizerGenerator]:
+    """Attach to each element s of S the derivation with ladder D^(n-i)(s).
+
+    Every s must satisfy D^n(s) = 0; a violation means the kernel
+    generators S was built from were not actually kernel elements and
+    raises RegistryError.
+    """
     out = []
     for element in S.elements:
         try:

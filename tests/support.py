@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from dercent.derivation import Derivation
 from dercent.poly import Poly
+from dercent.registry import KernelEntry, load_registry, registry_to_json
 
 
 def random_exponent(rng: random.Random, nvars: int, max_degree: int) -> tuple:
@@ -92,3 +93,84 @@ def match_up_to_scalar(actual: list[Derivation], expected: list[Derivation]) -> 
             return False
         remaining.remove(hit)
     return True
+
+
+def write_registry(path, n, generators) -> str:
+    """The packaged registry with entry n's generators replaced, written to path."""
+    registry = dict(load_registry())
+    entry = registry[n]
+    registry[n] = KernelEntry(n, generators, entry.source, entry.search_degree)
+    path.write_text(registry_to_json(registry))
+    return str(path)
+
+
+# Dense reference elimination: the row-list Gauss-Jordan that dercent.linalg
+# used before its rows became sparse.  Tests compare the library against it.
+
+
+def reference_eliminate(m: list[list[Fraction]], ncols: int) -> list[int]:
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return pivots
+
+
+def reference_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    m = [list(map(Fraction, row)) for row in rows]
+    if not m:
+        return [], []
+    pivots = reference_eliminate(m, len(m[0]))
+    return m[: len(pivots)], pivots
+
+
+def reference_nullspace(rows, ncols: int) -> list[list[Fraction]]:
+    reduced, pivots = reference_rref(rows)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return reference_rref(basis)[0]
+
+
+def reference_solve_many(columns, targets) -> list[list[Fraction] | None]:
+    if not targets:
+        return []
+    if not columns:
+        return [None if any(t) else [] for t in targets]
+    nrows = len(columns[0])
+    ncols = len(columns)
+    aug = [
+        [Fraction(columns[j][i]) for j in range(ncols)]
+        + [Fraction(t[i]) for t in targets]
+        for i in range(nrows)
+    ]
+    pivots = reference_eliminate(aug, ncols)
+    r = len(pivots)
+    solutions: list[list[Fraction] | None] = []
+    for k in range(len(targets)):
+        tcol = ncols + k
+        if any(aug[i][tcol] for i in range(r, nrows)):
+            solutions.append(None)
+            continue
+        coeffs = [Fraction(0)] * ncols
+        for row_idx, p in enumerate(pivots):
+            coeffs[p] = aug[row_idx][tcol]
+        solutions.append(coeffs)
+    return solutions

@@ -15,22 +15,16 @@ from dercent.cli import main
 from dercent.derivation import Derivation
 from dercent.linearder import jordan_nilpotent, matrix_to_json
 from dercent.poly import Poly
-from dercent.registry import KernelEntry, load_registry, registry_to_json
+from dercent.registry import load_registry
 from dercent.weitzenboeck import sl2_triple
+
+from support import write_registry
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def write_registry(path, n, generators):
-    registry = dict(load_registry())
-    entry = registry[n]
-    registry[n] = KernelEntry(n, generators, entry.source, entry.search_degree)
-    path.write_text(registry_to_json(registry))
-    return str(path)
 
 
 def payload(capsys, *argv):
@@ -253,6 +247,13 @@ class TestPinnedOutput:
              "03752c4bde88544b9939b0a8345f873ad1982c7e9852f9ea3bd265fd99eea71e"),
             (("oracle", "rank", "--input", "rank.json"),
              "648976170e7628202b799cadfe051d8d0ca43df9888df1a340fa9bf074b7aaa0"),
+            # the op sizes of the verify benchmark workload
+            (("verify", "--n", "4", "--deg", "5"),
+             "baa47ad7e60b2926ae560cfefe71144beb0ef9e4a6479771de17562b4d4d1af9"),
+            (("verify", "--n", "5", "--deg", "4"),
+             "6ae495001aa59d260579bafe4c88ccda2320016fbe3339c47b51ded93315e108"),
+            (("oracle", "verify-thm2", "--n", "4", "--deg", "5"),
+             "4162cec0336dd4265a6207c0f080a9aec734690c81ce5fcb2fd5dd6c25e6f947"),
         ],
     )
     def test_stdout_digest(self, capsys, tmp_path, monkeypatch, argv, digest):

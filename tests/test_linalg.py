@@ -2,7 +2,16 @@
 
 from fractions import Fraction
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from dercent.linalg import in_row_space, nullspace, rank, rref, solve_many
+
+from support import (
+    reference_nullspace,
+    reference_rref,
+    reference_solve_many,
+)
 
 F = Fraction
 
@@ -69,3 +78,120 @@ def test_in_row_space():
     reduced, pivots = rref([[1, 0, 1], [0, 1, 1]])
     assert in_row_space(reduced, pivots, [2, 3, 5])
     assert not in_row_space(reduced, pivots, [0, 0, 1])
+
+
+# Against the dense reference elimination, on random sparse rational
+# matrices: rows and pivots of the RREF, ranks, null spaces, row-space
+# membership and solutions must be equal, not merely equivalent.
+
+entries = st.one_of(
+    st.just(F(0)),
+    st.just(F(0)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+)
+
+
+@st.composite
+def sparse_matrices(draw, max_rows=7, max_cols=7):
+    """(rows, ncols) with some rows and columns forced to zero."""
+    nrows = draw(st.integers(0, max_rows))
+    ncols = draw(st.integers(0, max_cols))
+    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0))))
+    zero_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0))))
+    rows = [
+        [F(0) if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+    return rows, ncols
+
+
+@st.composite
+def low_rank_matrices(draw, max_rows=7, max_cols=7):
+    """(rows, ncols) of a product B*C through an inner dimension of 1 to 3."""
+    nrows = draw(st.integers(1, max_rows))
+    ncols = draw(st.integers(1, max_cols))
+    inner = draw(st.integers(1, 3))
+    b = [draw(st.lists(entries, min_size=inner, max_size=inner)) for _ in range(nrows)]
+    c = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(inner)]
+    rows = [[sum((b[i][k] * c[k][j] for k in range(inner)), F(0))
+             for j in range(ncols)] for i in range(nrows)]
+    return rows, ncols
+
+
+@st.composite
+def permuted_block_diagonal(draw):
+    """(rows, ncols) of a block-diagonal matrix with its rows shuffled."""
+    blocks = draw(st.lists(
+        st.one_of(sparse_matrices(max_rows=3, max_cols=3),
+                  low_rank_matrices(max_rows=3, max_cols=3)),
+        min_size=1, max_size=3,
+    ))
+    ncols = sum(width for _, width in blocks)
+    rows, offset = [], 0
+    for block, width in blocks:
+        for row in block:
+            rows.append([F(0)] * offset + row + [F(0)] * (ncols - offset - width))
+        offset += width
+    return draw(st.permutations(rows)), ncols
+
+
+matrices = st.one_of(sparse_matrices(), low_rank_matrices(), permuted_block_diagonal())
+
+
+def combination(draw, vectors, length):
+    """A random rational combination of vectors, all of the given length."""
+    coeffs = draw(st.lists(entries, min_size=len(vectors), max_size=len(vectors)))
+    return [sum((c * v[i] for c, v in zip(coeffs, vectors)), F(0))
+            for i in range(length)]
+
+
+@given(matrices)
+def test_rref_rank_nullspace_match_reference(matrix):
+    rows, ncols = matrix
+    expected_rows, expected_pivots = reference_rref(rows)
+    reduced, pivots = rref(rows)
+    assert pivots == expected_pivots
+    assert reduced == expected_rows
+    assert all(type(x) is Fraction for row in reduced for x in row)
+    assert rank(rows) == len(expected_pivots)
+    basis = nullspace(rows, ncols)
+    assert basis == reference_nullspace(rows, ncols)
+    assert all(type(x) is Fraction for v in basis for x in v)
+
+
+@given(matrices, st.data())
+def test_in_row_space_matches_reference(matrix, data):
+    rows, ncols = matrix
+    inside = combination(data.draw, rows, ncols)
+    anywhere = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
+    reduced, pivots = rref(rows)
+    assert in_row_space(reduced, pivots, inside)
+    for v in (inside, anywhere):
+        assert in_row_space(reduced, pivots, v) == in_row_space(
+            *reference_rref(rows), v
+        )
+
+
+@given(matrices, st.data())
+def test_solve_many_matches_reference(matrix, data):
+    rows, length = matrix  # each row is one column vector of the system
+    inside = [combination(data.draw, rows, length) for _ in range(2)]
+    anywhere = data.draw(st.lists(
+        st.lists(entries, min_size=length, max_size=length), max_size=3
+    ))
+    targets = inside + anywhere
+    solutions = solve_many(rows, targets)
+    assert solutions == reference_solve_many(rows, targets)
+    for target, x in zip(inside, solutions):
+        assert x is not None
+        assert [sum((c * v[i] for c, v in zip(x, rows)), F(0))
+                for i in range(length)] == target
+    assert solve_many(rows, []) == []
+
+
+def test_solve_many_without_columns():
+    targets = [[0, 0], [0, 1], []]
+    assert solve_many([], targets) == reference_solve_many([], targets)
+    assert solve_many([], targets) == [[], None, []]

@@ -20,6 +20,7 @@ from dercent.linearder import (
     matrix_mul,
     matrix_to_json,
     nilpotent_power_derivations,
+    shift_powers,
     verify_decomposition,
 )
 from dercent.oracle import kernel_power_basis
@@ -62,6 +63,13 @@ class TestCommutant:
         for _ in range(2):
             powers.append(matrix_mul(powers[-1], J3))
         assert set(basis.matrices) == set(powers)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_shift_powers_are_matrix_powers(self, n):
+        powers = [matrix_identity(n)]
+        for _ in range(n - 1):
+            powers.append(matrix_mul(powers[-1], jordan_nilpotent(n)))
+        assert shift_powers(n) == powers
 
     def test_distinct_diagonal(self):
         basis = matrix_commutant(matrix([[1, 0], [0, 2]]))
