@@ -12,6 +12,8 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Callable
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__
 from .derivation import Derivation
@@ -61,10 +63,83 @@ def _config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+# Output pieces gathered before one write to stdout: a report is streamed
+# in blocks of this many pieces, never joined into one string.
+_BLOCK_PIECES = 4096
+
+
+def write_json(obj, write) -> None:
+    """Write `json.dumps(obj, indent=2, sort_keys=True) + "\\n"` in blocks.
+
+    `write` is called with joined blocks of about `_BLOCK_PIECES` pieces.
+    Only dicts with `str` keys, lists, tuples, `str`, `int`, `bool` and
+    `None` are encoded; anything else (floats included) raises TypeError.
+    """
+    out: list[str] = []
+    append = out.append
+    # newline[k] opens line k levels deep; comma[k] ends an item there
+    newline = ["\n"]
+    comma = [",\n"]
+
+    def encode(o, level: int) -> None:
+        if isinstance(o, str):
+            append(_encode_str(o))
+        elif o is None:
+            append("null")
+        elif o is True:
+            append("true")
+        elif o is False:
+            append("false")
+        elif isinstance(o, int):
+            append(int.__repr__(o))
+        elif isinstance(o, (list, tuple, dict)):
+            if not o:
+                append("{}" if isinstance(o, dict) else "[]")
+                return
+            inner = level + 1
+            if inner == len(newline):
+                newline.append(newline[-1] + "  ")
+                comma.append(comma[-1] + "  ")
+            sep = comma[inner]
+            if isinstance(o, dict):
+                first = "{" + newline[inner]
+                for key in sorted(o):
+                    append(first)
+                    append(_encode_str(key))
+                    append(": ")
+                    encode(o[key], inner)
+                    first = sep
+                append(newline[level])
+                append("}")
+            elif all(type(x) is int for x in o):
+                append("[" + newline[inner] + sep.join(map(int.__repr__, o))
+                       + newline[level] + "]")
+            else:
+                first = "[" + newline[inner]
+                for item in o:
+                    append(first)
+                    encode(item, inner)
+                    first = sep
+                append(newline[level])
+                append("]")
+        else:
+            raise TypeError(
+                f"Object of type {type(o).__name__} is not JSON serializable"
+            )
+        if len(out) >= _BLOCK_PIECES:
+            write("".join(out))
+            out.clear()
+
+    encode(obj, 0)
+    append("\n")
+    write("".join(out))
+
+
 def _emit(args: argparse.Namespace, command: str, result: dict,
-          text: str | None = None) -> None:
-    if args.format == "text" and text is not None:
-        print(text)
+          text: Callable[[], str]) -> None:
+    """Print the report; `text()` builds the --format text rendering."""
+    if args.format == "text":
+        print(text())
         return
     payload = {
         "command": command,
@@ -72,7 +147,7 @@ def _emit(args: argparse.Namespace, command: str, result: dict,
         "version": __version__,
         "result": result,
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    write_json(payload, sys.stdout.write)
 
 
 # -- command handlers --------------------------------------------------------
@@ -88,9 +163,12 @@ def cmd_sl2(args) -> int:
         "h": triple.h.to_json(),
         "relations_hold": True,
     }
-    text = "\n".join(
-        [f"D    = {triple.d}", f"Dhat = {triple.dhat}", f"H    = {triple.h}"]
-    )
+
+    def text() -> str:
+        return "\n".join(
+            [f"D    = {triple.d}", f"Dhat = {triple.dhat}", f"H    = {triple.h}"]
+        )
+
     _emit(args, "sl2", result, text)
     return EXIT_OK
 
@@ -107,13 +185,19 @@ def cmd_gens(args) -> int:
         "kernel_generators": [g.to_json() for g in entry.generators],
         "set": S.to_json(),
     }
-    lines = [f"generators of the kernel of D^{level} as a Ker D-module (n={n}):"]
-    for k, el in enumerate(S.elements, 1):
-        factors = (
-            " * ".join(f"Dhat^{p}(a{g + 1})" for g, p in el.factors) or "1"
-        )
-        lines.append(f"  [{k}] {str(el.poly):<30} = ({el.scale}) * {factors}")
-    _emit(args, "gens", result, "\n".join(lines))
+
+    def text() -> str:
+        lines = [
+            f"generators of the kernel of D^{level} as a Ker D-module (n={n}):"
+        ]
+        for k, el in enumerate(S.elements, 1):
+            factors = (
+                " * ".join(f"Dhat^{p}(a{g + 1})" for g, p in el.factors) or "1"
+            )
+            lines.append(f"  [{k}] {str(el.poly):<30} = ({el.scale}) * {factors}")
+        return "\n".join(lines)
+
+    _emit(args, "gens", result, text)
     return EXIT_OK
 
 
@@ -128,10 +212,16 @@ def cmd_centralizer(args) -> int:
         "count": len(gens),
         "generators": [g.to_json() for g in gens],
     }
-    lines = [f"centralizer generators over Ker D (n={n}, {len(gens)} elements):"]
-    for k, g in enumerate(gens, 1):
-        lines.append(f"  [{k}] {str(g.derivation):<44} s = {g.element.poly}")
-    _emit(args, "centralizer", result, "\n".join(lines))
+
+    def text() -> str:
+        lines = [
+            f"centralizer generators over Ker D (n={n}, {len(gens)} elements):"
+        ]
+        for k, g in enumerate(gens, 1):
+            lines.append(f"  [{k}] {str(g.derivation):<44} s = {g.element.poly}")
+        return "\n".join(lines)
+
+    _emit(args, "centralizer", result, text)
     return EXIT_OK
 
 
@@ -145,7 +235,7 @@ def cmd_bracket(args) -> int:
         "right": right.to_json(),
         "bracket": br.to_json(),
     }
-    _emit(args, "bracket", result, f"[{left}, {right}] = {br}")
+    _emit(args, "bracket", result, lambda: f"[{left}, {right}] = {br}")
     return EXIT_OK
 
 
@@ -160,11 +250,15 @@ def cmd_decompose(args) -> int:
         "decomposition": dec.to_json(),
         "verified": verified,
     }
-    lines = [f"T = {T}"]
-    for j, phi in enumerate(dec.coefficients):
-        lines.append(f"  phi_{j} = {phi}")
-    lines.append(f"verified: {verified}")
-    _emit(args, "decompose", result, "\n".join(lines))
+
+    def text() -> str:
+        lines = [f"T = {T}"]
+        for j, phi in enumerate(dec.coefficients):
+            lines.append(f"  phi_{j} = {phi}")
+        lines.append(f"verified: {verified}")
+        return "\n".join(lines)
+
+    _emit(args, "decompose", result, text)
     return EXIT_OK
 
 
@@ -173,7 +267,8 @@ def cmd_rank(args) -> int:
     derivs = [Derivation.from_json(d) for d in data["derivations"]]
     result = rank_over_fractions(derivs, seed=args.seed)
     payload = {"certificate": result.to_json(), "rank": result.rank}
-    _emit(args, "rank", payload, f"rank = {result.rank} ({result.method})")
+    _emit(args, "rank", payload,
+          lambda: f"rank = {result.rank} ({result.method})")
     return EXIT_OK
 
 
@@ -189,11 +284,15 @@ def cmd_verify(args) -> int:
         "ok": failure is None,
         "first_failure": failure.to_json() if failure else None,
     }
-    lines = [
-        f"  {item.name:<36} {'PASS' if item.ok else 'FAIL'}" for item in items
-    ]
-    header = f"verification suite n={n} deg={args.deg}:"
-    _emit(args, "verify", result, "\n".join([header] + lines))
+
+    def text() -> str:
+        lines = [
+            f"  {item.name:<36} {'PASS' if item.ok else 'FAIL'}" for item in items
+        ]
+        header = f"verification suite n={n} deg={args.deg}:"
+        return "\n".join([header] + lines)
+
+    _emit(args, "verify", result, text)
     return EXIT_OK if failure is None else EXIT_VERIFICATION_FAILED
 
 
@@ -207,11 +306,15 @@ def cmd_oracle_kernel(args) -> int:
         "dimension": basis.dimension(),
         "certificate": basis.to_json(),
     }
-    lines = [
-        f"kernel of D^{args.power}, degree <= {args.deg}: "
-        f"dimension {basis.dimension()}"
-    ] + [f"  {v}" for v in basis.vectors]
-    _emit(args, "oracle kernel", result, "\n".join(lines))
+
+    def text() -> str:
+        lines = [
+            f"kernel of D^{args.power}, degree <= {args.deg}: "
+            f"dimension {basis.dimension()}"
+        ] + [f"  {v}" for v in basis.vectors]
+        return "\n".join(lines)
+
+    _emit(args, "oracle kernel", result, text)
     return EXIT_OK
 
 
@@ -225,11 +328,15 @@ def cmd_oracle_thm2(args) -> int:
                        "certificate": res.certificate})
     all_ok = all(c["ok"] for c in checks)
     result = {"n": n, "degree": args.deg, "ok": all_ok, "certificate": checks}
-    lines = [f"power-kernel span checks n={n} deg={args.deg}:"] + [
-        f"  i={c['i']}: {'PASS' if c['ok'] else 'FAIL'} "
-        f"(dim {c['dimension']})" for c in checks
-    ]
-    _emit(args, "oracle verify-thm2", result, "\n".join(lines))
+
+    def text() -> str:
+        lines = [f"power-kernel span checks n={n} deg={args.deg}:"] + [
+            f"  i={c['i']}: {'PASS' if c['ok'] else 'FAIL'} "
+            f"(dim {c['dimension']})" for c in checks
+        ]
+        return "\n".join(lines)
+
+    _emit(args, "oracle verify-thm2", result, text)
     return EXIT_OK if all_ok else EXIT_VERIFICATION_FAILED
 
 
@@ -242,11 +349,14 @@ def cmd_oracle_prop1(args) -> int:
         "ok": ok,
         "certificate": {"enumerated_dimension": dimension, "ladder_count": count},
     }
-    text = (
-        f"centralizer/ladder span equality n={n} deg={args.deg}: "
-        f"{'PASS' if ok else 'FAIL'} "
-        f"(enumerated dim {dimension}, ladders {count})"
-    )
+
+    def text() -> str:
+        return (
+            f"centralizer/ladder span equality n={n} deg={args.deg}: "
+            f"{'PASS' if ok else 'FAIL'} "
+            f"(enumerated dim {dimension}, ladders {count})"
+        )
+
     _emit(args, "oracle verify-prop1", result, text)
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 

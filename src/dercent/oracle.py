@@ -168,17 +168,21 @@ def module_span_check(
     if any(d < 1 for d in gen_degrees):
         raise PreconditionError("kernel generators must be nonconstant")
 
-    multipliers: list[tuple[tuple[int, ...], Poly]] = []
+    multipliers: list[tuple[tuple[int, ...], Poly, int]] = []
     for evec in _multiplier_exponents(gen_degrees, degree):
         p = Poly.constant(nvars, 1)
         for g, e in zip(kernel_gens, evec):
             if e:
                 p = p * g**e
-        multipliers.append((evec, p))
+        multipliers.append((evec, p, p.total_degree()))
 
     spanning: list[tuple[int, tuple[int, ...], Poly]] = []
     for s_idx, s in enumerate(elements):
-        for evec, c in multipliers:
+        # over Q, deg(c*s) = deg c + deg s: skip products above the cap
+        budget = degree - s.total_degree()
+        for evec, c, c_degree in multipliers:
+            if c_degree > budget:
+                continue
             p = c * s
             if p and p.total_degree() <= degree:
                 spanning.append((s_idx, evec, p))

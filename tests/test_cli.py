@@ -1,6 +1,7 @@
 """Command-line contract: payloads, formats, exit codes, reproducibility."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,10 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import dercent
 from dercent import __version__
-from dercent.cli import main
+from dercent.cli import main, write_json
 from dercent.derivation import Derivation
 from dercent.linearder import jordan_nilpotent, matrix_to_json
 from dercent.poly import Poly
@@ -31,6 +34,24 @@ def payload(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def write_inputs(directory):
+    """The input files of the pinned `rank`, `bracket` and `decompose` runs."""
+    t = sl2_triple(4)
+    (directory / "rank.json").write_text(
+        json.dumps({"derivations": [sl2_triple(3).d.to_json()]})
+    )
+    (directory / "pair.json").write_text(
+        json.dumps({"left": t.d.to_json(), "right": t.dhat.to_json()})
+    )
+    x1, x2, _ = Poly.variables(3)
+    T = Derivation((8 * x1**2, 8 * x1 * x2, 4 * x2**2))
+    (directory / "dec.json").write_text(
+        json.dumps(
+            {"derivation": T.to_json(), "matrix": matrix_to_json(jordan_nilpotent(3))}
+        )
+    )
 
 
 class TestEnvelope:
@@ -254,17 +275,114 @@ class TestPinnedOutput:
              "6ae495001aa59d260579bafe4c88ccda2320016fbe3339c47b51ded93315e108"),
             (("oracle", "verify-thm2", "--n", "4", "--deg", "5"),
              "4162cec0336dd4265a6207c0f080a9aec734690c81ce5fcb2fd5dd6c25e6f947"),
+            # the emitting commands, json and text
+            (("centralizer", "--n", "5"),
+             "7c1055f5e58cd92bf43b45f96415c1c38f2ed13730bf13e1f053841595974487"),
+            (("gens", "--n", "6", "--level", "4"),
+             "4a282631308bc3bb2fe1d807b505e6e4dc0dd22b5bc65d07dd62d9d2fe26215b"),
+            (("centralizer", "--n", "4", "--format", "text"),
+             "0f4be6c2d12d844a8898cabd1a07b99ffc5d4b9f9f1564e030d50b261557d28e"),
+            (("gens", "--n", "5", "--format", "text"),
+             "8486720c3b75846739bbaf56020dac4f27af5cddc8dc609a9ac3efb8b0ed546d"),
+            (("sl2", "--n", "4"),
+             "0a8ebcd9e5aa72fb8e5c219944b4fb09d9d1170563cee40bb60025bc0382fd77"),
+            (("bracket", "--input", "pair.json"),
+             "31ed576d838d69db61afa30566928c3ba4ddae0a8909a85652de2ee70e346217"),
+            (("decompose", "--input", "dec.json"),
+             "72d9a4708c4f20a6053847f43a9c560e07199621be7ec0a89d76eb15c84a14a9"),
         ],
     )
     def test_stdout_digest(self, capsys, tmp_path, monkeypatch, argv, digest):
         # the input path is part of the report, so it is kept relative
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "rank.json").write_text(
-            json.dumps({"derivations": [sl2_triple(3).d.to_json()]})
-        )
+        write_inputs(tmp_path)
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def written(obj) -> str:
+    pieces = []
+    write_json(obj, pieces.append)
+    return "".join(pieces)
+
+
+# quotes, backslashes, control characters, non-ASCII and astral characters
+json_text = st.text(
+    st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+              st.characters()),
+    max_size=6,
+)
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    json_text,
+)
+json_trees = st.recursive(
+    json_scalars | st.lists(st.integers(), max_size=4),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(json_text, children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+class TestJsonWriter:
+    """`write_json` writes the bytes of the stdlib's indented, sorted dump."""
+
+    @given(json_trees)
+    @example({})
+    @example(())
+    @example({"a": {}, "b": [[[]]], "c": [{}, ()]})
+    @example([[0, -1], [True, 1], [2**70]])
+    def test_matches_stdlib(self, obj):
+        assert written(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "obj", [1.5, [0, 2.0], {"a": {"b": float("nan")}}, {1: "x"}, {"a": {(1,): 0}},
+                object(), [set()]],
+    )
+    def test_rejects_floats_non_str_keys_and_other_objects(self, obj):
+        with pytest.raises(TypeError):
+            written(obj)
+
+
+class TestReportStreaming:
+    def test_json_reports_never_build_text(self, capsys, tmp_path, monkeypatch):
+        write_inputs(tmp_path)
+
+        def refuse(self):
+            raise AssertionError("text rendering built for a JSON report")
+
+        monkeypatch.setattr(Poly, "__str__", refuse)
+        monkeypatch.setattr(Derivation, "__str__", refuse)
+        for argv in (("centralizer", "--n", "3"), ("gens", "--n", "4"),
+                     ("bracket", "--input", str(tmp_path / "pair.json"))):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, err
+            json.loads(out)
+
+    def test_report_is_written_in_bounded_blocks(self, monkeypatch):
+        writes = []
+
+        class Spy(io.StringIO):
+            def write(self, s):
+                writes.append(len(s))
+                return super().write(s)
+
+        spy = Spy()
+        monkeypatch.setattr(sys, "stdout", spy)
+        assert main(["centralizer", "--n", "5"]) == 0
+        out = spy.getvalue()
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7c1055f5e58cd92bf43b45f96415c1c38f2ed13730bf13e1f053841595974487"
+        )
+        assert len(out) > 800_000
+        assert max(writes) <= 128 * 1024
 
 
 class TestOracleCommands:
