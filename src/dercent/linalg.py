@@ -1,4 +1,4 @@
-"""Exact Gaussian elimination over the rationals.
+"""Exact Gaussian elimination over the rationals and over Q[x].
 
 Matrices cross the public functions as plain lists of dense Fraction
 rows.  Inside, elimination works on sparse rows (column -> nonzero
@@ -7,12 +7,17 @@ width of the matrix, and rows that share no column with the pivot row
 are never touched.  Pivoting takes columns left to right and, in each,
 the first remaining row with a nonzero entry there, so callers control
 the canonical form through their column ordering.
+
+Polynomial matrices are eliminated fraction-free (Bareiss), so every
+entry stays a polynomial and no rational function is ever formed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
+
+from .poly import Poly, poly_divexact
 
 Row = list[Fraction]
 SparseRow = dict[int, Fraction]
@@ -46,6 +51,47 @@ def _eliminate(m: list[SparseRow], ncols: int) -> list[int]:
                     row[j] = x
                 else:
                     del row[j]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return pivots
+
+
+def fraction_free_eliminate(m: list[list[Poly]], ncols: int) -> list[int]:
+    """Fraction-free Gauss-Jordan on the polynomial matrix m, in place.
+
+    Pivots only in the first ncols columns, left to right, on the
+    remaining row whose entry there has the least total degree, so
+    columns after ncols (an augmented right-hand side) ride along.  Every
+    row but the pivot row becomes (a*p - f*b) / p_prev, with p the pivot,
+    f the row's entry in the pivot column, b the pivot row's entry and
+    p_prev the previous pivot; by Sylvester's identity each entry is a
+    minor of the input, so the division is exact (Bareiss 1968).
+
+    Returns the pivot columns: row k holds the pivot of pivots[k], every
+    pivot row has the last pivot on its diagonal and zeros in the other
+    pivot columns, and the later rows are zero in the first ncols columns.
+    """
+    pivots: list[int] = []
+    prev: Poly | None = None
+    r = 0
+    for c in range(ncols):
+        candidates = [(m[i][c].total_degree(), i) for i in range(r, len(m)) if m[i][c]]
+        if not candidates:
+            continue
+        _, pivot_row = min(candidates)
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        prow = m[r]
+        p = prow[c]
+        for i, row in enumerate(m):
+            if i == r:
+                continue
+            f = row[c]
+            for j, (a, b) in enumerate(zip(row, prow)):
+                x = a * p - f * b if f else a * p
+                row[j] = x if prev is None else poly_divexact(x, prev)
+        prev = p
         pivots.append(c)
         r += 1
         if r == len(m):

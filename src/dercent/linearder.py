@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Mapping, Sequence
 
 from . import linalg
 from .derivation import Derivation, annihilates_ratfunc
 from .errors import DimensionError, InternalInconsistencyError, PreconditionError
-from .poly import Poly
+from .poly import Poly, parse_rational
 from .ratfunc import RatFunc
 
 MatrixQ = tuple[tuple[Fraction, ...], ...]
@@ -29,7 +30,7 @@ def matrix(rows: Sequence[Sequence]) -> MatrixQ:
     for row in rows:
         if len(row) != n:
             raise DimensionError("matrix is not square")
-        out.append(tuple(Fraction(x) for x in row))
+        out.append(tuple(parse_rational(x) for x in row))
     return tuple(out)
 
 
@@ -201,61 +202,19 @@ def _peel_jordan_block(T: Derivation) -> tuple[CommutantBasis, tuple[RatFunc, ..
     return CommutantBasis(tuple(shift_powers(n))), tuple(phis)
 
 
-def _solve_ratfunc_system(
-    rows: list[list[RatFunc]], rhs: list[RatFunc], nvars: int
-) -> list[RatFunc]:
-    """Gaussian elimination over the rational-function field.
-
-    Entries stay unreduced; pivots are chosen per column by minimal
-    numerator degree.  Free unknowns are set to zero.  An inconsistent
-    system raises InternalInconsistencyError since callers only pass
-    systems that are guaranteed solvable.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    aug = [row + [rhs[i]] for i, row in enumerate(rows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        candidates = [
-            (aug[i][c].num.total_degree(), i)
-            for i in range(r, nrows)
-            if not aug[i][c].is_zero()
-        ]
-        if not candidates:
-            continue
-        _, pivot_row = min(candidates)
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        inv = RatFunc(aug[r][c].den, aug[r][c].num)
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    zero = RatFunc.constant(nvars, 0)
-    for i in range(r, nrows):
-        if not aug[i][ncols].is_zero():
-            raise InternalInconsistencyError(
-                "commuting derivation does not lie in the commutant span"
-            )
-    solution = [zero] * ncols
-    for row_idx, p in enumerate(pivots):
-        solution[p] = aug[row_idx][ncols]
-    return solution
-
-
 def decompose_over_constants(T: Derivation, a: MatrixQ) -> FDecomposition:
     """Write T as sum phi_j * (derivation of B_j) with D-constant phi_j.
 
     D is the linear derivation of `a` and the B_j run over a commutant
     basis of `a`.  For the nilpotent lower-shift block the coefficients
-    come from exact triangular peeling; otherwise from a linear solve
-    over the rational-function field.  Every coefficient is checked to
-    be annihilated by D before returning.
+    come from exact triangular peeling.  Otherwise the n x m system
+    sum_j phi_j (B_j x)_i = T_i is solved by fraction-free elimination
+    over Q[x]: each pivot unknown is its right-hand entry over its
+    diagonal entry, and every diagonal entry is the same minor, so all
+    coefficients share one denominator.  Free unknowns are set to zero;
+    an inconsistent system raises InternalInconsistencyError, since a
+    commuting T always lies in the span.  Every coefficient is checked
+    to be annihilated by D before returning.
     """
     n = len(a)
     if T.nvars != n:
@@ -267,13 +226,17 @@ def decompose_over_constants(T: Derivation, a: MatrixQ) -> FDecomposition:
         basis, phis = _peel_jordan_block(T)
     else:
         basis = matrix_commutant(a)
-        basis_derivs = [linear_derivation(b) for b in basis.matrices]
-        rows = [
-            [RatFunc.from_poly(bd.coeffs[i]) for bd in basis_derivs]
-            for i in range(n)
-        ]
-        rhs = [RatFunc.from_poly(T.coeffs[i]) for i in range(n)]
-        phis = tuple(_solve_ratfunc_system(rows, rhs, n))
+        columns = [linear_derivation(b).coeffs for b in basis.matrices]
+        m = len(columns)
+        rows = [[col[i] for col in columns] + [T.coeffs[i]] for i in range(n)]
+        pivots = linalg.fraction_free_eliminate(rows, m)
+        if any(row[m] for row in rows[len(pivots):]):
+            raise InternalInconsistencyError(
+                "commuting derivation does not lie in the commutant span"
+            )
+        phis = [RatFunc.constant(n, 0)] * m
+        for row, p in zip(rows, pivots):
+            phis[p] = RatFunc(row[m], row[p])
     for phi in phis:
         if not annihilates_ratfunc(D, phi):
             raise InternalInconsistencyError(
@@ -286,8 +249,11 @@ def verify_decomposition(dec: FDecomposition, D: Derivation) -> bool:
     """Check constancy of every coefficient and the recombination identity.
 
     The recombination is compared after clearing denominators, so no
-    polynomial division is needed: with Q the product of all
-    denominators, Q*g_i must equal sum_j num_j * (Q/den_j) * (B_j x)_i.
+    polynomial division is needed: each phi_j is rewritten as num_j/P_j
+    with P_j the primitive part of its denominator, and with Q the
+    product of the distinct P_j, Q*g_i must equal
+    sum_j num_j * (Q/P_j) * (B_j x)_i.  Coefficients from one elimination
+    share their denominator up to a scalar, so it enters Q once.
     """
     n = dec.derivation.nvars
     if len(dec.coefficients) != len(dec.basis.matrices):
@@ -295,20 +261,24 @@ def verify_decomposition(dec: FDecomposition, D: Derivation) -> bool:
     for phi in dec.coefficients:
         if not annihilates_ratfunc(D, phi):
             return False
-    dens = [phi.den for phi in dec.coefficients]
-    common = Poly.constant(n, 1)
-    for d in dens:
-        common = common * d
+    nums, prims = [], []
+    for phi in dec.coefficients:
+        num, den = phi.num, phi.den
+        prim = den.primitive_part()
+        if prim != den:
+            num = num * Fraction(prim.leading_coefficient(), den.leading_coefficient())
+        nums.append(num)
+        prims.append(prim)
+    one = Poly.constant(n, 1)
+    dens = list(dict.fromkeys(prims))
+    common = prod(dens, start=one)
+    cofactors = {d: prod((e for e in dens if e is not d), start=one) for d in dens}
     basis_derivs = [linear_derivation(b) for b in dec.basis.matrices]
     for i in range(n):
         lhs = dec.derivation.coeffs[i] * common
         rhs = Poly.zero(n)
-        for j, phi in enumerate(dec.coefficients):
-            cofactor = Poly.constant(n, 1)
-            for l, d in enumerate(dens):
-                if l != j:
-                    cofactor = cofactor * d
-            rhs = rhs + phi.num * cofactor * basis_derivs[j].coeffs[i]
+        for num, prim, bd in zip(nums, prims, basis_derivs):
+            rhs = rhs + num * cofactors[prim] * bd.coeffs[i]
         if lhs != rhs:
             return False
     return True

@@ -24,7 +24,6 @@ from .poly import (
     Poly,
     grlex_key,
     monomials_of_degree,
-    poly_divexact,
 )
 from .weitzenboeck import GeneratorSet, weitzenboeck_derivation
 
@@ -354,47 +353,14 @@ class RankResult:
 
 
 def symbolic_rank(matrix: Sequence[Sequence[Poly]]) -> int:
-    """Fraction-free (Bareiss) rank of a polynomial matrix.
+    """Rank of a polynomial matrix over the fraction field.
 
-    Pivots are chosen by minimal total degree among the remaining
-    entries, ties broken by column then row order; every division is
-    exact by the Bareiss determinant identity.
+    The pivot count of the fraction-free elimination in linalg.
     """
     m = [list(row) for row in matrix]
     if not m:
         return 0
-    nrows, ncols = len(m), len(m[0])
-    row_perm = list(range(nrows))
-    col_perm = list(range(ncols))
-    one = Poly.constant(m[0][0].nvars, 1)
-    prev = one
-    r = 0
-    while r < min(nrows, ncols):
-        best = None
-        for cj in range(r, ncols):
-            for ri in range(r, nrows):
-                entry = m[row_perm[ri]][col_perm[cj]]
-                if entry:
-                    key = (entry.total_degree(), cj, ri)
-                    if best is None or key < best[0]:
-                        best = (key, ri, cj)
-        if best is None:
-            break
-        _, ri, cj = best
-        row_perm[r], row_perm[ri] = row_perm[ri], row_perm[r]
-        col_perm[r], col_perm[cj] = col_perm[cj], col_perm[r]
-        pivot = m[row_perm[r]][col_perm[r]]
-        for i in range(r + 1, nrows):
-            for j in range(r + 1, ncols):
-                num = (
-                    m[row_perm[i]][col_perm[j]] * pivot
-                    - m[row_perm[i]][col_perm[r]] * m[row_perm[r]][col_perm[j]]
-                )
-                m[row_perm[i]][col_perm[j]] = poly_divexact(num, prev)
-            m[row_perm[i]][col_perm[r]] = Poly.zero(pivot.nvars)
-        prev = pivot
-        r += 1
-    return r
+    return len(linalg.fraction_free_eliminate(m, len(m[0])))
 
 
 def rank_over_fractions(

@@ -38,6 +38,25 @@ def _normalize_scalar(value) -> Scalar:
     return value.numerator if value.denominator == 1 else value
 
 
+def parse_rational(value) -> Fraction:
+    """An exact rational from outside input: an int, a Fraction or a string.
+
+    Strings are read by Fraction ("-3/4", "2", "0.5").  A float is
+    rejected because it is already rounded (0.1 is not 1/10), a bool
+    because it is not a number, and a zero denominator as malformed; all
+    three raise ValueError, the input-error type.
+    """
+    # str first: Fraction's metaclass makes a failed check against it slow
+    if isinstance(value, bool) or not isinstance(value, (str, int, Fraction)):
+        raise ValueError(
+            f"expected an integer or a rational string, got {value!r}"
+        )
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
+
+
 def grlex_key(exponent: Exponent) -> tuple[int, Exponent]:
     """Sort key realizing graded-lex order (total degree, then lex)."""
     return (sum(exponent), exponent)
@@ -390,7 +409,7 @@ class Poly:
         terms: dict[Exponent, Fraction] = {}
         for item in data["terms"]:
             exp = tuple(int(x) for x in item["exp"])
-            coeff = Fraction(str(item["coeff"]))
+            coeff = parse_rational(item["coeff"])
             terms[exp] = terms.get(exp, Fraction(0)) + coeff
         return cls(nvars, terms)
 

@@ -6,7 +6,10 @@ import random
 from fractions import Fraction
 
 from dercent.derivation import Derivation
-from dercent.poly import Poly
+from dercent.errors import InternalInconsistencyError
+from dercent.linearder import linear_derivation, matrix_commutant
+from dercent.poly import Poly, poly_divexact
+from dercent.ratfunc import RatFunc
 from dercent.registry import KernelEntry, load_registry, registry_to_json
 
 
@@ -174,3 +177,102 @@ def reference_solve_many(columns, targets) -> list[list[Fraction] | None]:
             coeffs[p] = aug[row_idx][tcol]
         solutions.append(coeffs)
     return solutions
+
+
+# Reference solvers over Q(x): the elimination loops dercent used before
+# its polynomial systems were solved fraction-free.  Tests compare the
+# library against them.
+
+
+def reference_solve_ratfunc_system(
+    rows: list[list[RatFunc]], rhs: list[RatFunc], nvars: int
+) -> list[RatFunc]:
+    """Gaussian elimination over the rational-function field.
+
+    Entries stay unreduced; pivots are chosen per column by minimal
+    numerator degree.  Free unknowns are set to zero.  An inconsistent
+    system raises InternalInconsistencyError.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    aug = [row + [rhs[i]] for i, row in enumerate(rows)]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        candidates = [
+            (aug[i][c].num.total_degree(), i)
+            for i in range(r, nrows)
+            if not aug[i][c].is_zero()
+        ]
+        if not candidates:
+            continue
+        _, pivot_row = min(candidates)
+        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
+        inv = RatFunc(aug[r][c].den, aug[r][c].num)
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(nrows):
+            if i != r and not aug[i][c].is_zero():
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    zero = RatFunc.constant(nvars, 0)
+    for i in range(r, nrows):
+        if not aug[i][ncols].is_zero():
+            raise InternalInconsistencyError(
+                "commuting derivation does not lie in the commutant span"
+            )
+    solution = [zero] * ncols
+    for row_idx, p in enumerate(pivots):
+        solution[p] = aug[row_idx][ncols]
+    return solution
+
+
+def reference_decompose(T: Derivation, a) -> list[RatFunc]:
+    """The coefficients decompose_over_constants gave off the peel path."""
+    n = T.nvars
+    basis_derivs = [linear_derivation(b) for b in matrix_commutant(a).matrices]
+    rows = [[RatFunc.from_poly(bd.coeffs[i]) for bd in basis_derivs] for i in range(n)]
+    rhs = [RatFunc.from_poly(T.coeffs[i]) for i in range(n)]
+    return reference_solve_ratfunc_system(rows, rhs, n)
+
+
+def reference_symbolic_rank(matrix) -> int:
+    """Fraction-free (Bareiss) rank with full pivoting by least total degree."""
+    m = [list(row) for row in matrix]
+    if not m:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    row_perm = list(range(nrows))
+    col_perm = list(range(ncols))
+    one = Poly.constant(m[0][0].nvars, 1)
+    prev = one
+    r = 0
+    while r < min(nrows, ncols):
+        best = None
+        for cj in range(r, ncols):
+            for ri in range(r, nrows):
+                entry = m[row_perm[ri]][col_perm[cj]]
+                if entry:
+                    key = (entry.total_degree(), cj, ri)
+                    if best is None or key < best[0]:
+                        best = (key, ri, cj)
+        if best is None:
+            break
+        _, ri, cj = best
+        row_perm[r], row_perm[ri] = row_perm[ri], row_perm[r]
+        col_perm[r], col_perm[cj] = col_perm[cj], col_perm[r]
+        pivot = m[row_perm[r]][col_perm[r]]
+        for i in range(r + 1, nrows):
+            for j in range(r + 1, ncols):
+                num = (
+                    m[row_perm[i]][col_perm[j]] * pivot
+                    - m[row_perm[i]][col_perm[r]] * m[row_perm[r]][col_perm[j]]
+                )
+                m[row_perm[i]][col_perm[j]] = poly_divexact(num, prev)
+            m[row_perm[i]][col_perm[r]] = Poly.zero(pivot.nvars)
+        prev = pivot
+        r += 1
+    return r

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,13 @@ import dercent
 from dercent import __version__
 from dercent.cli import main, write_json
 from dercent.derivation import Derivation
-from dercent.linearder import jordan_nilpotent, matrix_to_json
+from dercent.linearder import (
+    jordan_nilpotent,
+    linear_derivation,
+    matrix,
+    matrix_mul,
+    matrix_to_json,
+)
 from dercent.poly import Poly
 from dercent.registry import load_registry
 from dercent.weitzenboeck import sl2_triple
@@ -37,7 +44,11 @@ def payload(capsys, *argv):
 
 
 def write_inputs(directory):
-    """The input files of the pinned `rank`, `bracket` and `decompose` runs."""
+    """The input files of the pinned `rank`, `bracket` and `decompose` runs.
+
+    `dec.json` takes the peel path of `decompose`; `solved.json`, with
+    A = P J P^-1 and T = sum_j q_j * D_(A^j), the fraction-free solve.
+    """
     t = sl2_triple(4)
     (directory / "rank.json").write_text(
         json.dumps({"derivations": [sl2_triple(3).d.to_json()]})
@@ -51,6 +62,19 @@ def write_inputs(directory):
         json.dumps(
             {"derivation": T.to_json(), "matrix": matrix_to_json(jordan_nilpotent(3))}
         )
+    )
+    p = matrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    p_inv = matrix([[1, -1, 1], [0, 1, -1], [0, 0, 1]])
+    a = matrix_mul(matrix_mul(p, jordan_nilpotent(3)), p_inv)
+    ell = x1 - x2 + Poly.variable(3, 2)  # (P^-1 x)_1, a constant of D_A
+    q = [2 - ell, Poly.constant(3, 3), ell * Fraction(1, 2)]
+    T = Derivation.zero(3)
+    power = matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    for c in q:
+        T = T + linear_derivation(power) * c
+        power = matrix_mul(power, a)
+    (directory / "solved.json").write_text(
+        json.dumps({"derivation": T.to_json(), "matrix": matrix_to_json(a)})
     )
 
 
@@ -173,6 +197,50 @@ class TestInputCommands:
         assert data["result"]["rank"] == 1
         assert data["result"]["certificate"]["method"] == "sampled"
 
+    @pytest.mark.parametrize(
+        "command, document",
+        [
+            # a float is already rounded, a bool is no number, and a zero
+            # denominator is malformed: all three are input errors
+            ("decompose", {"derivation": Derivation.zero(2).to_json(),
+                           "matrix": {"n": 2, "entries": [[0.1, "0"], ["0", "1"]]}}),
+            ("decompose", {"derivation": Derivation.zero(2).to_json(),
+                           "matrix": {"n": 2, "entries": [[True, "0"], ["0", "1"]]}}),
+            ("decompose", {"derivation": Derivation.zero(2).to_json(),
+                           "matrix": {"n": 2, "entries": [["1/0", "0"], ["0", "1"]]}}),
+            ("rank", {"derivations": [
+                {"nvars": 1, "coeffs": [{"nvars": 1, "terms": [
+                    {"coeff": 0.1, "exp": [1]}]}]}]}),
+            ("rank", {"derivations": [
+                {"nvars": 1, "coeffs": [{"nvars": 1, "terms": [
+                    {"coeff": "1/0", "exp": [1]}]}]}]}),
+            ("bracket", {"left": Derivation.zero(1).to_json(),
+                         "right": {"nvars": 1, "coeffs": [{"nvars": 1, "terms": [
+                             {"coeff": 0.5, "exp": [0]}]}]}}),
+        ],
+    )
+    def test_inexact_or_zero_denominator_is_input_error(
+        self, capsys, tmp_path, command, document
+    ):
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, command, "--input", str(f))
+        assert code == 2
+        assert out == ""
+        assert "input error: " in err
+
+    def test_decompose_shift_plus_corner(self, capsys, tmp_path):
+        # A = J + 3*E_14 takes the fraction-free solve
+        a = [[0, 0, 0, 3], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+        T = linear_derivation(matrix(a)) * 2 + Derivation(tuple(Poly.variables(4)))
+        f = tmp_path / "dec.json"
+        f.write_text(json.dumps(
+            {"derivation": T.to_json(), "matrix": {"n": 4, "entries": a}}
+        ))
+        data = payload(capsys, "decompose", "--input", str(f))
+        assert data["result"]["verified"] is True
+        assert len(data["result"]["decomposition"]["coefficients"]) == 4
+
     def test_malformed_json(self, capsys, tmp_path):
         f = tmp_path / "bad.json"
         f.write_text("{not json")
@@ -290,6 +358,9 @@ class TestPinnedOutput:
              "31ed576d838d69db61afa30566928c3ba4ddae0a8909a85652de2ee70e346217"),
             (("decompose", "--input", "dec.json"),
              "72d9a4708c4f20a6053847f43a9c560e07199621be7ec0a89d76eb15c84a14a9"),
+            # off the peel path: the fraction-free solve
+            (("decompose", "--input", "solved.json"),
+             "028f5a4c80574c7533667634cb31bf085481f3ca3b84c7131c9004e472ae128a"),
         ],
     )
     def test_stdout_digest(self, capsys, tmp_path, monkeypatch, argv, digest):

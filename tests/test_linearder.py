@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from dercent import linalg
 from dercent.derivation import Derivation, annihilates_ratfunc
 from dercent.errors import PreconditionError
 from dercent.linearder import (
@@ -27,6 +30,8 @@ from dercent.oracle import kernel_power_basis
 from dercent.poly import Poly
 from dercent.ratfunc import RatFunc
 from dercent.weitzenboeck import weitzenboeck_derivation
+
+from support import reference_decompose
 
 x1, x2, x3 = Poly.variables(3)
 a2 = x1 * x3 - Fraction(1, 2) * x2**2
@@ -191,6 +196,159 @@ class TestDecomposeGeneralMatrix:
         D = linear_derivation(a)
         dec = decompose_over_constants(D, a)
         assert verify_decomposition(dec, D)
+
+
+# Off the peel path, decompose_over_constants solves fraction-free over Q[x].
+# Its coefficients must equal those of the elimination over Q(x) in
+# support.reference_decompose and, where the decomposition is
+# unique (a commutant of dimension n), the coefficients T was built from.
+# The reference takes 15-20 s per random 4x4 case, so it runs at n = 3 and
+# on the structured cases only.
+
+small_ints = st.integers(-2, 2)
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+def powers(a):
+    out = [matrix_identity(len(a))]
+    for _ in range(len(a) - 1):
+        out.append(matrix_mul(out[-1], a))
+    return out
+
+
+def inverse(p):
+    n = len(p)
+    columns = [[p[i][j] for i in range(n)] for j in range(n)]
+    units = [[int(i == k) for i in range(n)] for k in range(n)]
+    inverse_columns = linalg.solve_many(columns, units)
+    return matrix([[inverse_columns[k][i] for k in range(n)] for i in range(n)])
+
+
+def combine(coeffs, mats):
+    """sum_j coeffs[j] * D_(mats[j]), the coefficients polynomials."""
+    n = len(mats[0])
+    T = Derivation.zero(n)
+    for c, m in zip(coeffs, mats):
+        T = T + linear_derivation(m) * c
+    return T
+
+
+def coordinates(mats, basis):
+    """Rational M with mats[j] = sum_k M[j][k] * basis[k]."""
+    def flat(m):
+        return [x for row in m for x in row]
+
+    return linalg.solve_many([flat(b) for b in basis], [flat(m) for m in mats])
+
+
+def check_decomposition(T, a, coeffs=None, mats=None, reference=True):
+    """Verify the decomposition of T; compare it with T's own coefficients
+    (when T = sum coeffs[j] * D_(mats[j]) and the commutant has dimension
+    n) and with the reference solve."""
+    n = len(a)
+    dec = decompose_over_constants(T, a)
+    assert verify_decomposition(dec, linear_derivation(a))
+    basis = dec.basis.matrices
+    if coeffs is not None and len(basis) == n:
+        m = coordinates(mats, basis)
+        for k, phi in enumerate(dec.coefficients):
+            expected = sum((c * row[k] for c, row in zip(coeffs, m)), Poly.zero(n))
+            assert phi == expected
+    if reference:
+        expected = reference_decompose(T, a)
+        assert len(expected) == len(dec.coefficients)
+        for phi, e in zip(dec.coefficients, expected):
+            assert phi == e
+    return dec
+
+
+def integer_matrices(n):
+    row = st.lists(small_ints, min_size=n, max_size=n)
+    return st.lists(row, min_size=n, max_size=n).map(matrix)
+
+
+def solve_path_matrices(n):
+    """Random integer matrices other than the lower shift."""
+    return integer_matrices(n).filter(lambda a: a != jordan_nilpotent(n))
+
+
+@st.composite
+def conjugated_jordan(draw, n):
+    """(A, l): A = P J P^-1 for a random invertible integer P, and the
+    linear constant l = (P^-1 x)_1 of D_A."""
+    p = draw(integer_matrices(n))
+    assume(linalg.rank([list(row) for row in p]) == n)
+    p_inv = inverse(p)
+    a = matrix_mul(matrix_mul(p, jordan_nilpotent(n)), p_inv)
+    assume(a != jordan_nilpotent(n))
+    xs = Poly.variables(n)
+    return a, sum((c * x for c, x in zip(p_inv[0], xs)), Poly.zero(n))
+
+
+class TestDecomposeFractionFree:
+    @given(solve_path_matrices(3), st.lists(rationals, min_size=3, max_size=3))
+    def test_random_matrices_n3(self, a, q):
+        check_decomposition(combine(q, powers(a)), a, q, powers(a))
+
+    @settings(max_examples=8)
+    @given(solve_path_matrices(4), st.lists(rationals, min_size=4, max_size=4))
+    def test_random_matrices_n4(self, a, q):
+        check_decomposition(combine(q, powers(a)), a, q, powers(a), reference=False)
+
+    @settings(max_examples=20)
+    @given(conjugated_jordan(3), st.lists(rationals, min_size=6, max_size=6))
+    def test_conjugated_jordan_n3(self, case, r):
+        a, ell = case
+        q = [r[2 * j] + r[2 * j + 1] * ell for j in range(3)]
+        check_decomposition(combine(q, powers(a)), a, q, powers(a))
+
+    @settings(max_examples=6)
+    @given(conjugated_jordan(4), st.lists(rationals, min_size=8, max_size=8))
+    def test_conjugated_jordan_n4(self, case, r):
+        a, ell = case
+        q = [r[2 * j] + r[2 * j + 1] * ell for j in range(4)]
+        check_decomposition(combine(q, powers(a)), a, q, powers(a), reference=False)
+
+    @pytest.mark.parametrize("c", [1, 3, 7])
+    def test_shift_plus_corner(self, c):
+        # A = J + c*E_14: the elimination over Q(x) passes DEGREE_CAP here
+        a = matrix([[0, 0, 0, c], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+        q = [Fraction(1, 2), -3, Fraction(2, 3), 5]
+        dec = check_decomposition(combine(q, powers(a)), a, q, powers(a),
+                                  reference=False)
+        assert len({phi.den.primitive_part() for phi in dec.coefficients}) == 1
+
+    @settings(max_examples=10)
+    @pytest.mark.parametrize(
+        "entries, constants",
+        [
+            # distinct eigenvalues; x1*x2 is a constant
+            ([[1, 0, 0], [0, -1, 0], [0, 0, 2]], ((1, 1, 0),)),
+            # a repeated eigenvalue: a commutant of dimension 5
+            ([[2, 0, 0], [0, 2, 0], [0, 0, -1]], ((1, 0, 2), (0, 1, 2))),
+            # the full commutant
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], ()),
+            ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], ()),
+            # two blocks: J2 + J2 and J2 + (1)
+            ([[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]],
+             ((1, 0, 0, 0), (0, 0, 1, 0))),
+            ([[0, 0, 0], [1, 0, 0], [0, 0, 1]], ((1, 0, 0),)),
+        ],
+    )
+    @given(st.data())
+    def test_structured_matrices(self, entries, constants, data):
+        # T = sum_k c_k * D_(B_k) over the commutant basis, each c_k a
+        # rational plus a rational multiple of a monomial constant of D_A
+        a = matrix(entries)
+        n = len(a)
+        basis = matrix_commutant(a).matrices
+        monomials = [Poly(n, {exp: 1}) for exp in constants] or [Poly.zero(n)]
+        multipliers = st.sampled_from(monomials)
+        coeffs = [
+            data.draw(rationals) + data.draw(rationals) * data.draw(multipliers)
+            for _ in basis
+        ]
+        check_decomposition(combine(coeffs, basis), a, coeffs, basis)
 
 
 class TestVerifyDecomposition:

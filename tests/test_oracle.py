@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dercent.derivation import Derivation
 from dercent.errors import PreconditionError, ResourceLimitError
@@ -26,7 +28,7 @@ from dercent.weitzenboeck import (
     weitzenboeck_derivation,
 )
 
-from support import random_nonzero_poly
+from support import random_nonzero_poly, reference_symbolic_rank
 
 x1, x2, x3 = Poly.variables(3)
 a1 = x1
@@ -218,6 +220,35 @@ class TestDerivationSpanEqual:
         assert derivation_span_equal([], [])
 
 
+exponents = st.tuples(*[st.integers(0, 1)] * 3).filter(lambda e: sum(e) <= 1)
+affine_polys = st.dictionaries(
+    exponents, st.fractions(min_value=-3, max_value=3, max_denominator=2), max_size=3
+).map(lambda terms: Poly(3, terms))
+
+
+@st.composite
+def low_rank_poly_matrices(draw):
+    """(M, k): M = B*C, B rows x k and C k x cols with affine entries, some
+    rows and columns of M zeroed; wide, square and tall shapes."""
+    nrows = draw(st.integers(1, 5))
+    ncols = draw(st.integers(1, 5))
+    inner = draw(st.integers(1, 3))
+    b = [draw(st.lists(affine_polys, min_size=inner, max_size=inner))
+         for _ in range(nrows)]
+    c = [draw(st.lists(affine_polys, min_size=ncols, max_size=ncols))
+         for _ in range(inner)]
+    zero_rows = draw(st.sets(st.integers(0, nrows - 1)))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1)))
+    zero = Poly.zero(3)
+    m = [
+        [zero if i in zero_rows or j in zero_cols
+         else sum((b[i][k] * c[k][j] for k in range(inner)), zero)
+         for j in range(ncols)]
+        for i in range(nrows)
+    ]
+    return m, inner
+
+
 class TestRank:
     def test_known_generators_have_full_rank(self):
         gens = [g.derivation for g in centralizer_generators(3, [a1, a2])]
@@ -270,6 +301,11 @@ class TestRank:
         matrix = [[x1, x1**2], [x2, x1 * x2]]
         assert symbolic_rank(matrix) == 1
         assert symbolic_rank([[Poly.zero(3)]]) == 0
+
+    @given(low_rank_poly_matrices())
+    def test_symbolic_rank_matches_reference(self, case):
+        m, inner = case
+        assert symbolic_rank(m) == reference_symbolic_rank(m) <= inner
 
 
 class TestKernelCandidates:
