@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import DimensionError, PreconditionError
-from .poly import Poly, Scalar
+from .poly import Poly, Scalar, parse_count
 from .ratfunc import RatFunc
 
 
@@ -133,7 +133,7 @@ class Derivation:
     @classmethod
     def from_json(cls, data: Mapping) -> "Derivation":
         coeffs = tuple(Poly.from_json(c) for c in data["coeffs"])
-        if len(coeffs) != int(data["nvars"]):
+        if len(coeffs) != parse_count(data["nvars"]):
             raise DimensionError("coefficient count does not match nvars")
         return cls(coeffs)
 

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 from . import linalg
 from .derivation import Derivation, annihilates_ratfunc
 from .errors import DimensionError, InternalInconsistencyError, PreconditionError
-from .poly import Poly, parse_rational
+from .poly import Poly, parse_count, parse_rational
 from .ratfunc import RatFunc
 
 MatrixQ = tuple[tuple[Fraction, ...], ...]
@@ -38,10 +38,6 @@ def matrix_identity(n: int) -> MatrixQ:
     return tuple(
         tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
     )
-
-
-def matrix_zero(n: int) -> MatrixQ:
-    return tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
 
 
 def matrix_mul(a: MatrixQ, b: MatrixQ) -> MatrixQ:
@@ -87,7 +83,7 @@ def matrix_to_json(a: MatrixQ) -> dict:
 
 
 def matrix_from_json(data: Mapping) -> MatrixQ:
-    n = int(data["n"])
+    n = parse_count(data["n"])
     entries = data["entries"]
     if len(entries) != n:
         raise DimensionError("entry row count does not match n")

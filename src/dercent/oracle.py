@@ -32,6 +32,10 @@ MONOMIAL_COUNT_CAP = 20_000
 # Degree caps for the kernel-candidate search, keyed by variable count.
 CANDIDATE_DEGREE_CAP = {2: 6, 3: 6, 4: 6, 5: 4, 6: 3}
 
+# Samples rank_over_fractions draws after the first two before the
+# symbolic path decides.
+RANK_SAMPLE_RETRIES = 4
+
 
 def _check_linear(D: Derivation) -> None:
     # Homogeneous degree-1 coefficients keep every map here degree
@@ -76,21 +80,37 @@ class GradedBasis:
         }
 
 
+def _null_combinations(keys: Sequence, image) -> list[dict]:
+    """Null space of a linear map on the span of finitely many basis keys.
+
+    image(key) yields the (key, coefficient) terms of that key's image,
+    all within the same keys.  Each null vector comes back as
+    {key: coefficient}, RREF-normalized against the order of keys.
+    """
+    col = {k: j for j, k in enumerate(keys)}
+    size = len(keys)
+    rows = [[Fraction(0)] * size for _ in range(size)]
+    for j, k in enumerate(keys):
+        for target, c in image(k):
+            rows[col[target]][j] = c
+    return [
+        {keys[j]: x for j, x in enumerate(v) if x}
+        for v in linalg.nullspace(rows, size)
+    ]
+
+
 def _kernel_block(D: Derivation, power: int, degree: int) -> list[Poly]:
     """Kernel of D^power on the homogeneous component of a fixed degree."""
     n = D.nvars
-    monos = monomials_of_degree(n, degree)
-    col = {m: j for j, m in enumerate(monos)}
-    size = len(monos)
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    for j, m in enumerate(monos):
-        image = Poly(n, {m: 1})
+
+    def image(m: Exponent):
+        p = Poly(n, {m: 1})
         for _ in range(power):
-            image = D(image)
-        for exp, c in image.iter_terms():
-            rows[col[exp]][j] = c
-    vectors = linalg.nullspace(rows, size)
-    return [Poly(n, {monos[j]: v[j] for j in range(size) if v[j]}) for v in vectors]
+            p = D(p)
+        return p.iter_terms()
+
+    monos = monomials_of_degree(n, degree)
+    return [Poly(n, v) for v in _null_combinations(monos, image)]
 
 
 def kernel_power_basis(D: Derivation, power: int, degree: int) -> GradedBasis:
@@ -140,9 +160,6 @@ class SpanCheckResult:
     ok: bool
     certificate: dict
 
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "certificate": self.certificate}
-
 
 def module_span_check(
     S: GeneratorSet | Sequence[Poly],
@@ -186,77 +203,41 @@ def module_span_check(
             if p and p.total_degree() <= degree:
                 spanning.append((s_idx, evec, p))
 
-    homogeneous = all(p.is_homogeneous() for _, _, p in spanning) and all(
-        v.is_homogeneous() for v in target.vectors
-    )
-
-    def run_block(
-        span_items: list[tuple[int, tuple[int, ...], Poly]],
-        targets: list[tuple[int, Poly]],
-        monos: list[Exponent],
-    ) -> tuple[bool, dict]:
-        col = {m: j for j, m in enumerate(monos)}
-        columns = [
-            [Fraction(0)] * len(monos) for _ in span_items
-        ]
-        for k, (_, _, p) in enumerate(span_items):
-            for exp, c in p.iter_terms():
-                columns[k][col[exp]] = c
-        tvecs = []
-        for _, v in targets:
-            vec = [Fraction(0)] * len(monos)
-            for exp, c in v.iter_terms():
-                vec[col[exp]] = c
-            tvecs.append(vec)
-        solutions = linalg.solve_many(columns, tvecs)
-        witnesses = []
-        for (t_idx, v), sol in zip(targets, solutions):
-            if sol is None:
-                return False, {
-                    "failed_target_index": t_idx,
-                    "failed_target": v.to_json(),
-                }
-            combination = [
-                {
-                    "element_index": span_items[k][0],
-                    "multiplier_exponents": list(span_items[k][1]),
-                    "coefficient": str(coeff),
-                }
-                for k, coeff in enumerate(sol)
-                if coeff
-            ]
-            witnesses.append({"target_index": t_idx, "combination": combination})
-        return True, {"witnesses": witnesses}
-
-    indexed_targets = list(enumerate(target.vectors))
-    if homogeneous:
-        witnesses: list[dict] = []
-        degrees = sorted(
-            {p.total_degree() for _, _, p in spanning}
-            | {v.total_degree() for _, v in indexed_targets if v}
-        )
-        for t_idx, v in indexed_targets:
-            if not v:
-                witnesses.append({"target_index": t_idx, "combination": []})
-        for t in degrees:
-            span_t = [item for item in spanning if item[2].total_degree() == t]
-            targets_t = [
-                (i, v) for i, v in indexed_targets if v and v.total_degree() == t
-            ]
-            if not targets_t:
-                continue
-            ok, cert = run_block(span_t, targets_t, monomials_of_degree(nvars, t))
-            if not ok:
-                return SpanCheckResult(False, cert)
-            witnesses.extend(cert["witnesses"])
-        witnesses.sort(key=lambda w: w["target_index"])
-        return SpanCheckResult(True, {"witnesses": witnesses})
-
+    # One solve over every monomial up to the cap.  Elimination never
+    # touches a row outside its pivot's support, so homogeneous data is
+    # still worked one degree block at a time.
     monos: list[Exponent] = []
     for t in range(degree + 1):
         monos.extend(monomials_of_degree(nvars, t))
-    ok, cert = run_block(spanning, indexed_targets, monos)
-    return SpanCheckResult(ok, cert)
+    col = {m: j for j, m in enumerate(monos)}
+
+    def flatten(p: Poly) -> list[Fraction]:
+        vec = [Fraction(0)] * len(monos)
+        for exp, c in p.iter_terms():
+            vec[col[exp]] = c
+        return vec
+
+    solutions = linalg.solve_many(
+        [flatten(p) for _, _, p in spanning],
+        [flatten(v) for v in target.vectors],
+    )
+    witnesses = []
+    for t_idx, (v, sol) in enumerate(zip(target.vectors, solutions)):
+        if sol is None:
+            return SpanCheckResult(
+                False, {"failed_target_index": t_idx, "failed_target": v.to_json()}
+            )
+        combination = [
+            {
+                "element_index": spanning[k][0],
+                "multiplier_exponents": list(spanning[k][1]),
+                "coefficient": str(coeff),
+            }
+            for k, coeff in enumerate(sol)
+            if coeff
+        ]
+        witnesses.append({"target_index": t_idx, "combination": combination})
+    return SpanCheckResult(True, {"witnesses": witnesses})
 
 
 def centralizer_basis(D: Derivation, degree: int) -> list[Derivation]:
@@ -271,38 +252,24 @@ def centralizer_basis(D: Derivation, degree: int) -> list[Derivation]:
         raise PreconditionError("degree must be >= 0")
     n = D.nvars
     _guard_monomial_count(n, degree)
+
+    def image(key: tuple[int, Exponent]):
+        i, m = key
+        unit = Derivation(
+            tuple(Poly(n, {m: 1}) if k == i else Poly.zero(n) for k in range(n))
+        )
+        br = unit.bracket(D)
+        return (((k, exp), c) for k in range(n) for exp, c in br.coeffs[k].iter_terms())
+
     out: list[Derivation] = []
     for t in range(degree + 1):
         monos = monomials_of_degree(n, t)
-        col_index = {
-            (i, m): i * len(monos) + j
-            for i in range(n)
-            for j, m in enumerate(monos)
-        }
-        ncols = n * len(monos)
-        rows = [[Fraction(0)] * ncols for _ in range(ncols)]
-        for i in range(n):
-            for j, m in enumerate(monos):
-                unit = Derivation(
-                    tuple(
-                        Poly(n, {m: 1}) if k == i else Poly.zero(n)
-                        for k in range(n)
-                    )
-                )
-                br = unit.bracket(D)
-                for k in range(n):
-                    for exp, c in br.coeffs[k].iter_terms():
-                        rows[col_index[(k, exp)]][col_index[(i, m)]] = c
-        for v in linalg.nullspace(rows, ncols):
-            coeffs = []
-            for i in range(n):
-                terms = {
-                    monos[j]: v[i * len(monos) + j]
-                    for j in range(len(monos))
-                    if v[i * len(monos) + j]
-                }
-                coeffs.append(Poly(n, terms))
-            out.append(Derivation(tuple(coeffs)))
+        keys = [(i, m) for i in range(n) for m in monos]
+        for v in _null_combinations(keys, image):
+            coeffs = [{} for _ in range(n)]
+            for (i, m), c in v.items():
+                coeffs[i][m] = c
+            out.append(Derivation(tuple(Poly(n, terms) for terms in coeffs)))
     return out
 
 
@@ -366,7 +333,6 @@ def symbolic_rank(matrix: Sequence[Sequence[Poly]]) -> int:
 def rank_over_fractions(
     derivations: Sequence[Derivation],
     seed: int = 0,
-    max_retries: int = 4,
 ) -> RankResult:
     """Rank of the n x |Ts| coefficient matrix over the fraction field.
 
@@ -398,7 +364,7 @@ def rank_over_fractions(
 
     ranks.append(sample())
     ranks.append(sample())
-    while ranks[-1] != ranks[-2] and len(ranks) < 2 + max_retries:
+    while ranks[-1] != ranks[-2] and len(ranks) < 2 + RANK_SAMPLE_RETRIES:
         ranks.append(sample())
     if ranks[-1] == ranks[-2]:
         return RankResult(max(ranks), "sampled", tuple(points), tuple(ranks))
@@ -423,34 +389,10 @@ def kernel_generator_candidates(n: int, degree: int) -> list[Poly]:
             f"degree {degree} exceeds the candidate-search cap {cap} for n={n}"
         )
     D = weitzenboeck_derivation(n)
+    one = Poly.constant(n, 1)
     candidates: list[Poly] = []
     for t in range(1, degree + 1):
-        kernel_t = _kernel_block(D, 1, t)
-        if not kernel_t:
-            continue
-        monos = monomials_of_degree(n, t)
-        col = {m: j for j, m in enumerate(monos)}
-
-        def flatten(p: Poly) -> list[Fraction]:
-            v = [Fraction(0)] * len(monos)
-            for exp, c in p.iter_terms():
-                v[col[exp]] = c
-            return v
-
-        products: list[list[Fraction]] = []
-        degs = [c.total_degree() for c in candidates]
-        for evec in _multiplier_exponents(degs, t):
-            if sum(e * d for e, d in zip(evec, degs)) != t:
-                continue
-            p = Poly.constant(n, 1)
-            for g, e in zip(candidates, evec):
-                if e:
-                    p = p * g**e
-            products.append(flatten(p))
-        reduced, pivots = linalg.rref(products)
-        for v in kernel_t:
-            vec = flatten(v)
-            if not linalg.in_row_space(reduced, pivots, vec):
+        for v in _kernel_block(D, 1, t):
+            if not module_span_check([one], candidates, GradedBasis(t, (v,)), t).ok:
                 candidates.append(v)
-                reduced, pivots = linalg.rref(reduced + [vec])
     return candidates

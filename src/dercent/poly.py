@@ -57,6 +57,18 @@ def parse_rational(value) -> Fraction:
         raise ValueError(f"zero denominator in {value!r}") from None
 
 
+def parse_count(value) -> int:
+    """An integer field of outside input: an exponent, a variable count, a size.
+
+    Only a JSON integer is accepted.  A float (1.5, and 2.0 too), a bool
+    or a string raises ValueError, the input-error type, instead of being
+    truncated to an integer.
+    """
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def grlex_key(exponent: Exponent) -> tuple[int, Exponent]:
     """Sort key realizing graded-lex order (total degree, then lex)."""
     return (sum(exponent), exponent)
@@ -405,10 +417,10 @@ class Poly:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Poly":
-        nvars = int(data["nvars"])
+        nvars = parse_count(data["nvars"])
         terms: dict[Exponent, Fraction] = {}
         for item in data["terms"]:
-            exp = tuple(int(x) for x in item["exp"])
+            exp = tuple(parse_count(x) for x in item["exp"])
             coeff = parse_rational(item["coeff"])
             terms[exp] = terms.get(exp, Fraction(0)) + coeff
         return cls(nvars, terms)

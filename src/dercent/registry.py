@@ -22,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import RegistryError
-from .poly import Poly
+from .poly import Poly, parse_count
 
 # How deep the candidate search runs per n when regenerating the file.
 SEARCH_DEGREES = {2: 1, 3: 2, 4: 5, 5: 4, 6: 3}
@@ -50,10 +50,10 @@ class KernelEntry:
     @classmethod
     def from_json(cls, data: dict) -> "KernelEntry":
         return cls(
-            n=int(data["n"]),
+            n=parse_count(data["n"]),
             generators=tuple(Poly.from_json(g) for g in data["generators"]),
             source=str(data["source"]),
-            search_degree=int(data["search_degree"]),
+            search_degree=parse_count(data["search_degree"]),
         )
 
 

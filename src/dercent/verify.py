@@ -163,7 +163,7 @@ def run_verification(
 
     def check_commutation():
         for g in run.generators:
-            if not g.derivation.bracket(D).is_zero():
+            if not g.derivation.commutes(D):
                 return (
                     False,
                     f"generator from s = {g.element.poly} does not commute",

@@ -229,6 +229,33 @@ class TestInputCommands:
         assert out == ""
         assert "input error: " in err
 
+    @pytest.mark.parametrize(
+        "command, document",
+        [
+            # exponents, variable counts and sizes are JSON integers: a
+            # float or a bool is an input error, not truncated to an int
+            ("bracket", {"left": Derivation.zero(2).to_json(),
+                         "right": {"nvars": 2, "coeffs": [
+                             {"nvars": 2, "terms": [{"coeff": "1", "exp": [1.5, 0]}]},
+                             Poly.zero(2).to_json()]}}),
+            ("bracket", {"left": Derivation.zero(2).to_json(),
+                         "right": {"nvars": 2, "coeffs": [
+                             {"nvars": 2, "terms": [{"coeff": "1", "exp": [True, 0]}]},
+                             Poly.zero(2).to_json()]}}),
+            ("bracket", {"left": Derivation.zero(2).to_json(),
+                         "right": {"nvars": 2.0, "coeffs": [Poly.zero(2).to_json()] * 2}}),
+            ("decompose", {"derivation": Derivation.zero(3).to_json(),
+                           "matrix": {**matrix_to_json(jordan_nilpotent(3)), "n": 3.0}}),
+        ],
+    )
+    def test_non_integer_count_is_input_error(self, capsys, tmp_path, command, document):
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, command, "--input", str(f))
+        assert code == 2
+        assert out == ""
+        assert "input error: " in err
+
     def test_decompose_shift_plus_corner(self, capsys, tmp_path):
         # A = J + 3*E_14 takes the fraction-free solve
         a = [[0, 0, 0, 3], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
@@ -271,6 +298,19 @@ class TestVerifyCommand:
         failure = data["result"]["first_failure"]
         assert failure["name"] == "centralizer-commutation"
         assert "not annihilated" in failure["detail"]
+
+    def test_non_integer_search_degree_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "registry.json"
+        write_registry(path, 3, load_registry()[3].generators)
+        raw = json.loads(path.read_text())
+        raw["3"]["search_degree"] = 1.5
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli(
+            capsys, "verify", "--n", "3", "--deg", "2", "--registry", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert "malformed kernel registry" in err
 
     def test_text_format_prints_pass_lines(self, capsys):
         code, out, _ = run_cli(
@@ -369,6 +409,26 @@ class TestPinnedOutput:
         write_inputs(tmp_path)
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "command, digest",
+        [
+            (("verify",),
+             "a100e6bc8d14b30c7765dc73e89a7cd6307d4500f7d73f486c98b9bc1cc93589"),
+            (("oracle", "verify-thm2"),
+             "ad9894853eebc773e9ece9ce886687f9f38535a3c681d24c1fee8f0fa9cb4859"),
+        ],
+    )
+    def test_span_failure_digest(self, capsys, tmp_path, monkeypatch, command, digest):
+        # without its last generator the n=4 registry no longer spans, so
+        # the reports carry failure certificates next to witnesses
+        monkeypatch.chdir(tmp_path)
+        write_registry(tmp_path / "short_registry.json", 4,
+                       load_registry()[4].generators[:-1])
+        code, out, err = run_cli(capsys, *command, "--n", "4", "--deg", "4",
+                                 "--registry", "short_registry.json")
+        assert code == 1, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
