@@ -199,8 +199,9 @@ def generator_set(n: int, kernel_gens: Sequence[Poly], level: int) -> GeneratorS
         normalized = product.primitive_part()
         if normalized in seen:
             continue
-        lead = product.coefficient(normalized.leading_monomial())
-        seen[normalized] = GenElement(normalized, factors, lead)
+        lead = normalized.leading_monomial()
+        scale = Fraction(product.coefficient(lead)) / normalized.coefficient(lead)
+        seen[normalized] = GenElement(normalized, factors, scale)
 
     def order_key(el: GenElement):
         lead = el.poly.leading_monomial()

@@ -385,13 +385,13 @@ class TestPinnedOutput:
              "4162cec0336dd4265a6207c0f080a9aec734690c81ce5fcb2fd5dd6c25e6f947"),
             # the emitting commands, json and text
             (("centralizer", "--n", "5"),
-             "7c1055f5e58cd92bf43b45f96415c1c38f2ed13730bf13e1f053841595974487"),
+             "1267fcc57631bcff8a48bd87b6ca0123ba9aef0b661e2e2beb33b688a1228ff7"),
             (("gens", "--n", "6", "--level", "4"),
-             "4a282631308bc3bb2fe1d807b505e6e4dc0dd22b5bc65d07dd62d9d2fe26215b"),
+             "e0e320e3158635e7f67c0aeb733049afe78ace9467eda418dc182ce0b5d53481"),
             (("centralizer", "--n", "4", "--format", "text"),
              "0f4be6c2d12d844a8898cabd1a07b99ffc5d4b9f9f1564e030d50b261557d28e"),
             (("gens", "--n", "5", "--format", "text"),
-             "8486720c3b75846739bbaf56020dac4f27af5cddc8dc609a9ac3efb8b0ed546d"),
+             "42b0b028a17c980e430d51520c60d3ad8942261ed2a1b1d1b7d56a00348b3268"),
             (("sl2", "--n", "4"),
              "0a8ebcd9e5aa72fb8e5c219944b4fb09d9d1170563cee40bb60025bc0382fd77"),
             (("bracket", "--input", "pair.json"),
@@ -510,7 +510,7 @@ class TestReportStreaming:
         assert main(["centralizer", "--n", "5"]) == 0
         out = spy.getvalue()
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "7c1055f5e58cd92bf43b45f96415c1c38f2ed13730bf13e1f053841595974487"
+            "1267fcc57631bcff8a48bd87b6ca0123ba9aef0b661e2e2beb33b688a1228ff7"
         )
         assert len(out) > 800_000
         assert max(writes) <= 128 * 1024

@@ -153,6 +153,21 @@ class TestGeneratorSet:
         polys = [e.poly for e in S.elements]
         assert len(polys) == len(set(polys))
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_scale_recovers_raw_product(self, n):
+        # raw = scale * poly, with raw rebuilt from the recorded factors
+        gens = registry_entry(n).generators
+        dhat = sl2_triple(n).dhat
+        for level in range(1, n + 1):
+            for el in generator_set(n, gens, level).elements:
+                raw = Poly.constant(n, 1)
+                for g, k in el.factors:
+                    image = gens[g]
+                    for _ in range(k):
+                        image = dhat(image)
+                    raw = raw * image
+                assert raw == el.poly * el.scale
+
     def test_bad_level(self):
         with pytest.raises(PreconditionError):
             generator_set(3, [a1], 0)
