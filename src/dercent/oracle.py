@@ -89,7 +89,8 @@ def _null_combinations(keys: Sequence, image) -> list[dict]:
     """
     col = {k: j for j, k in enumerate(keys)}
     size = len(keys)
-    rows = [[Fraction(0)] * size for _ in range(size)]
+    # int zeros: linalg tests every cell for truth, cheaply for an int
+    rows = [[0] * size for _ in range(size)]
     for j, k in enumerate(keys):
         for target, c in image(k):
             rows[col[target]][j] = c
@@ -203,16 +204,16 @@ def module_span_check(
             if p and p.total_degree() <= degree:
                 spanning.append((s_idx, evec, p))
 
-    # One solve over every monomial up to the cap.  Elimination never
-    # touches a row outside its pivot's support, so homogeneous data is
-    # still worked one degree block at a time.
+    # One solve over every monomial up to the cap.  A pivot updates only
+    # the rows (monomials) where its column is nonzero, so homogeneous
+    # data is still eliminated one degree block at a time.
     monos: list[Exponent] = []
     for t in range(degree + 1):
         monos.extend(monomials_of_degree(nvars, t))
     col = {m: j for j, m in enumerate(monos)}
 
-    def flatten(p: Poly) -> list[Fraction]:
-        vec = [Fraction(0)] * len(monos)
+    def flatten(p: Poly) -> list:
+        vec = [0] * len(monos)  # int zeros, as in _null_combinations
         for exp, c in p.iter_terms():
             vec[col[exp]] = c
         return vec

@@ -217,23 +217,8 @@ class TestInputCommands:
             ("bracket", {"left": Derivation.zero(1).to_json(),
                          "right": {"nvars": 1, "coeffs": [{"nvars": 1, "terms": [
                              {"coeff": 0.5, "exp": [0]}]}]}}),
-        ],
-    )
-    def test_inexact_or_zero_denominator_is_input_error(
-        self, capsys, tmp_path, command, document
-    ):
-        f = tmp_path / "in.json"
-        f.write_text(json.dumps(document))
-        code, out, err = run_cli(capsys, command, "--input", str(f))
-        assert code == 2
-        assert out == ""
-        assert "input error: " in err
-
-    @pytest.mark.parametrize(
-        "command, document",
-        [
             # exponents, variable counts and sizes are JSON integers: a
-            # float or a bool is an input error, not truncated to an int
+            # float or a bool there is an input error, not truncated
             ("bracket", {"left": Derivation.zero(2).to_json(),
                          "right": {"nvars": 2, "coeffs": [
                              {"nvars": 2, "terms": [{"coeff": "1", "exp": [1.5, 0]}]},
@@ -248,7 +233,9 @@ class TestInputCommands:
                            "matrix": {**matrix_to_json(jordan_nilpotent(3)), "n": 3.0}}),
         ],
     )
-    def test_non_integer_count_is_input_error(self, capsys, tmp_path, command, document):
+    def test_inexact_or_zero_denominator_is_input_error(
+        self, capsys, tmp_path, command, document
+    ):
         f = tmp_path / "in.json"
         f.write_text(json.dumps(document))
         code, out, err = run_cli(capsys, command, "--input", str(f))
