@@ -9,6 +9,7 @@ failure, 2 input error, 3 precondition error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -364,7 +365,13 @@ def cmd_oracle_prop1(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and reused by `main`.
+
+    Parsing leaves the parser unchanged, so repeated in-process calls of
+    `main` share it.
+    """
     parser = argparse.ArgumentParser(
         prog="dercent",
         description="Exact centralizers of linear derivations on polynomial rings.",

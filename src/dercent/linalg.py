@@ -122,8 +122,8 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Row]:
     for f in range(ncols):
         if f in pivot_set:
             continue
-        v = [_ZERO] * ncols
-        v[f] = Fraction(1)
+        v: list = [0] * ncols  # int zeros: rref converts only nonzero cells
+        v[f] = 1
         for row, p in zip(reduced, pivots):
             if row[f]:
                 v[p] = -row[f]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
@@ -290,8 +289,8 @@ def derivation_span_equal(
     coords = sorted(support, key=lambda im: (im[0], grlex_key(im[1])))
     index = {im: k for k, im in enumerate(coords)}
 
-    def flatten(T: Derivation) -> list[Fraction]:
-        v = [Fraction(0)] * len(coords)
+    def flatten(T: Derivation) -> list:
+        v = [0] * len(coords)  # int zeros, as in _null_combinations
         for i, c in enumerate(T.coeffs):
             for exp, coeff in c.iter_terms():
                 v[index[(i, exp)]] = coeff
@@ -357,10 +356,7 @@ def rank_over_fractions(
     def sample() -> int:
         point = tuple(rng.randint(-(10**6), 10**6) for _ in range(n))
         points.append(point)
-        numeric = [
-            [entry.evaluate([Fraction(v) for v in point]) for entry in row]
-            for row in coeff_matrix
-        ]
+        numeric = [[entry.evaluate(point) for entry in row] for row in coeff_matrix]
         return linalg.rank(numeric)
 
     ranks.append(sample())

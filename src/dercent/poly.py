@@ -392,18 +392,28 @@ class Poly:
         return result
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
-        """Exact value at a rational point."""
+        """Exact value at a rational point.
+
+        Each power v_i**e is computed once.  The terms are summed as
+        numerator * monomial per coefficient denominator, so an integer
+        point is evaluated in integer arithmetic, and one Fraction is formed
+        per distinct denominator at the end.
+        """
         if len(point) != self.nvars:
             raise DimensionError(f"need {self.nvars} coordinates, got {len(point)}")
         values = [_normalize_scalar(v) for v in point]
-        total: Scalar = 0
+        powers: list[dict[int, Scalar]] = [{0: 1} for _ in values]
+        sums: dict[int, Scalar] = {}
         for exp, c in self._terms.items():
-            term = c
-            for e, v in zip(exp, values):
-                if e:
-                    term *= v**e
-            total += term
-        return Fraction(total)
+            term = c.numerator
+            for e, v, cache in zip(exp, values, powers):
+                p = cache.get(e)
+                if p is None:
+                    p = cache[e] = v**e
+                term *= p
+            d = c.denominator
+            sums[d] = sums.get(d, 0) + term
+        return sum((Fraction(s, d) for d, s in sums.items()), Fraction(0))
 
     # -- serialization and display -----------------------------------------
 

@@ -107,6 +107,19 @@ def write_registry(path, n, generators) -> str:
     return str(path)
 
 
+def reference_evaluate(p: Poly, point) -> Fraction:
+    """The term-by-term loop Poly.evaluate used before it summed per denominator."""
+    values = [Fraction(v) for v in point]
+    total = 0
+    for exp, c in p.iter_terms():
+        term = c
+        for e, v in zip(exp, values):
+            if e:
+                term *= v**e
+        total += term
+    return Fraction(total)
+
+
 # Dense reference elimination: the row-list Gauss-Jordan that dercent.linalg
 # used before its rows became sparse.  Tests compare the library against it.
 

@@ -1,5 +1,6 @@
 """Command-line contract: payloads, formats, exit codes, reproducibility."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -46,12 +47,26 @@ def payload(capsys, *argv):
 def write_inputs(directory):
     """The input files of the pinned `rank`, `bracket` and `decompose` runs.
 
+    `rank_q.json` holds four n=4 derivations with rational coefficients,
+    two independent ones and two combinations of them, so rank 2.
     `dec.json` takes the peel path of `decompose`; `solved.json`, with
     A = P J P^-1 and T = sum_j q_j * D_(A^j), the fraction-free solve.
     """
     t = sl2_triple(4)
     (directory / "rank.json").write_text(
         json.dumps({"derivations": [sl2_triple(3).d.to_json()]})
+    )
+    y1, y2, y3, y4 = Poly.variables(4)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    # the minor of the first two coordinates is half * y2 * (y1 - 3/4) != 0
+    t1 = Derivation((half * y2, Fraction(-2, 3) * y3**2, Poly.zero(4),
+                     Fraction(1, 5) * y1 * y4))
+    t2 = Derivation((Poly.zero(4), y1 - Fraction(3, 4), Fraction(7, 2) * y4,
+                     y2 * y3))
+    members = [t1 * (y3 - third) + t2 * (Fraction(2, 7) * y1 * y2), t2,
+               t1 * Fraction(5, 6) - t2 * (third * y4**2), t1]
+    (directory / "rank_q.json").write_text(
+        json.dumps({"derivations": [T.to_json() for T in members]})
     )
     (directory / "pair.json").write_text(
         json.dumps({"left": t.d.to_json(), "right": t.dhat.to_json()})
@@ -363,6 +378,9 @@ class TestPinnedOutput:
              "03752c4bde88544b9939b0a8345f873ad1982c7e9852f9ea3bd265fd99eea71e"),
             (("oracle", "rank", "--input", "rank.json"),
              "648976170e7628202b799cadfe051d8d0ca43df9888df1a340fa9bf074b7aaa0"),
+            # rational coefficients: pins the sampled points, ranks and method
+            (("rank", "--input", "rank_q.json", "--seed", "5"),
+             "77edff65a1c7326841144cb7088e8c57a1d39cbf51019a6fe3eb51beb08f9119"),
             # the op sizes of the verify benchmark workload
             (("verify", "--n", "4", "--deg", "5"),
              "baa47ad7e60b2926ae560cfefe71144beb0ef9e4a6479771de17562b4d4d1af9"),
@@ -417,6 +435,34 @@ class TestPinnedOutput:
                                  "--registry", "short_registry.json")
         assert code == 1, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestParserReuse:
+    def test_parser_built_once(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_inputs(tmp_path)
+        bracket = ("bracket", "--input", "pair.json")
+        assert run_cli(capsys, *bracket)[0] == 0  # warm-up
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        codes = [
+            run_cli(capsys, *bracket)[0],
+            run_cli(capsys, "verify", "--deg", "2")[0],
+            run_cli(capsys, "--version")[0],
+            run_cli(capsys, "bracket", "--input", "missing.json")[0],
+        ]
+        code, out, err = run_cli(capsys, *bracket)
+        assert codes + [code] == [0, 2, 0, 2, 0], err
+        assert built == []
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "31ed576d838d69db61afa30566928c3ba4ddae0a8909a85652de2ee70e346217"
+        )
 
 
 def written(obj) -> str:

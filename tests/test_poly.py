@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import dercent.poly as poly_mod
 from dercent.errors import DimensionError, NotDivisibleError, ResourceLimitError
@@ -16,6 +16,8 @@ from dercent.poly import (
     monomials_up_to_degree,
     poly_divexact,
 )
+
+from support import reference_evaluate
 
 x1, x2, x3 = Poly.variables(3)
 a2 = x1 * x3 - Fraction(1, 2) * x2**2
@@ -106,6 +108,26 @@ class TestEvaluate:
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             x1.evaluate([1, 2])
+
+    def test_float_point_rejected(self):
+        with pytest.raises(TypeError):
+            a2.evaluate([1, 0.5, 2])
+
+    @given(
+        # poly_st mixes int and Fraction coefficients and includes zero
+        p=poly_st(),
+        point=st.one_of(
+            st.lists(st.integers(-(10**6), 10**6), min_size=3, max_size=3),
+            st.lists(st.fractions(max_denominator=10**3), min_size=3, max_size=3),
+        ),
+    )
+    @example(p=a2, point=[0, 0, 0])
+    @example(p=x1**3 - 7 * x2 * x3, point=[10**6, -(10**6), 3])
+    @example(p=Poly.zero(3), point=[Fraction(1, 3), 0, -(10**6)])
+    def test_matches_reference(self, p, point):
+        value = p.evaluate(point)
+        assert value == reference_evaluate(p, point)
+        assert type(value) is Fraction
 
 
 class TestCanonicalForm:
