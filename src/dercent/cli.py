@@ -70,11 +70,15 @@ _BLOCK_PIECES = 4096
 
 
 def write_json(obj, write) -> None:
-    """Write `json.dumps(obj, indent=2, sort_keys=True) + "\\n"` in blocks.
+    """Write the bytes of `json.dumps(obj, indent=2, sort_keys=True,
+    default=lambda o: o.to_json()) + "\\n"` in blocks.
 
     `write` is called with joined blocks of about `_BLOCK_PIECES` pieces.
-    Only dicts with `str` keys, lists, tuples, `str`, `int`, `bool` and
-    `None` are encoded; anything else (floats included) raises TypeError.
+    Dicts with `str` keys, lists, tuples, `str`, `int`, `bool` and `None`
+    are encoded as they are.  Any other object with a `to_json()` method
+    is encoded as what that method returns, called when the writer
+    reaches it, so each object's tree lives only while it is written.
+    Anything else (floats included) raises TypeError.
     """
     out: list[str] = []
     append = out.append
@@ -123,6 +127,8 @@ def write_json(obj, write) -> None:
                     first = sep
                 append(newline[level])
                 append("]")
+        elif hasattr(o, "to_json"):
+            encode(o.to_json(), level)
         else:
             raise TypeError(
                 f"Object of type {type(o).__name__} is not JSON serializable"
@@ -138,7 +144,12 @@ def write_json(obj, write) -> None:
 
 def _emit(args: argparse.Namespace, command: str, result: dict,
           text: Callable[[], str]) -> None:
-    """Print the report; `text()` builds the --format text rendering."""
+    """Print the report; `text()` builds the --format text rendering.
+
+    `result` holds the computed objects themselves; `write_json` turns
+    each into JSON as it writes it, so no tree of the whole report is
+    built first.
+    """
     if args.format == "text":
         print(text())
         return
@@ -159,9 +170,9 @@ def cmd_sl2(args) -> int:
     triple = sl2_triple(n)
     result = {
         "n": n,
-        "d": triple.d.to_json(),
-        "dhat": triple.dhat.to_json(),
-        "h": triple.h.to_json(),
+        "d": triple.d,
+        "dhat": triple.dhat,
+        "h": triple.h,
         "relations_hold": True,
     }
 
@@ -183,8 +194,8 @@ def cmd_gens(args) -> int:
         "n": n,
         "level": level,
         "registry_source": entry.source,
-        "kernel_generators": [g.to_json() for g in entry.generators],
-        "set": S.to_json(),
+        "kernel_generators": entry.generators,
+        "set": S,
     }
 
     def text() -> str:
@@ -209,9 +220,9 @@ def cmd_centralizer(args) -> int:
     result = {
         "n": n,
         "registry_source": entry.source,
-        "kernel_generators": [g.to_json() for g in entry.generators],
+        "kernel_generators": entry.generators,
         "count": len(gens),
-        "generators": [g.to_json() for g in gens],
+        "generators": gens,
     }
 
     def text() -> str:
@@ -232,9 +243,9 @@ def cmd_bracket(args) -> int:
     right = Derivation.from_json(data["right"])
     br = left.bracket(right)
     result = {
-        "left": left.to_json(),
-        "right": right.to_json(),
-        "bracket": br.to_json(),
+        "left": left,
+        "right": right,
+        "bracket": br,
     }
     _emit(args, "bracket", result, lambda: f"[{left}, {right}] = {br}")
     return EXIT_OK
@@ -248,7 +259,7 @@ def cmd_decompose(args) -> int:
     verified = verify_decomposition(dec, linear_derivation(a))
     result = {
         "matrix": matrix_to_json(a),
-        "decomposition": dec.to_json(),
+        "decomposition": dec,
         "verified": verified,
     }
 
@@ -267,7 +278,7 @@ def cmd_rank(args) -> int:
     data = _load_input(args.input)
     derivs = [Derivation.from_json(d) for d in data["derivations"]]
     result = rank_over_fractions(derivs, seed=args.seed)
-    payload = {"certificate": result.to_json(), "rank": result.rank}
+    payload = {"certificate": result, "rank": result.rank}
     _emit(args, "rank", payload,
           lambda: f"rank = {result.rank} ({result.method})")
     return EXIT_OK
@@ -281,9 +292,9 @@ def cmd_verify(args) -> int:
     result = {
         "n": n,
         "degree": args.deg,
-        "items": [item.to_json() for item in items],
+        "items": items,
         "ok": failure is None,
-        "first_failure": failure.to_json() if failure else None,
+        "first_failure": failure,
     }
 
     def text() -> str:
@@ -305,7 +316,7 @@ def cmd_oracle_kernel(args) -> int:
         "power": args.power,
         "degree": args.deg,
         "dimension": basis.dimension(),
-        "certificate": basis.to_json(),
+        "certificate": basis,
     }
 
     def text() -> str:

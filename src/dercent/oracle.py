@@ -251,7 +251,14 @@ def centralizer_basis(D: Derivation, degree: int) -> list[Derivation]:
     if degree < 0:
         raise PreconditionError("degree must be >= 0")
     n = D.nvars
-    _guard_monomial_count(n, degree)
+    # the unknowns are the (coefficient index, monomial) keys, and each
+    # degree's block is a dense square on them
+    unknowns = n * _monomial_count(n, degree)
+    if unknowns > MONOMIAL_COUNT_CAP:
+        raise ResourceLimitError(
+            f"{unknowns} unknowns ({n} coefficients of degree <= {degree} "
+            f"in {n} variables) exceed the cap {MONOMIAL_COUNT_CAP}"
+        )
 
     def image(key: tuple[int, Exponent]):
         i, m = key

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,7 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import dercent
-from dercent import __version__
+from dercent import __version__, oracle
 from dercent.cli import main, write_json
 from dercent.derivation import Derivation
 from dercent.linearder import (
@@ -27,9 +28,9 @@ from dercent.linearder import (
 )
 from dercent.poly import Poly
 from dercent.registry import load_registry
-from dercent.weitzenboeck import sl2_triple
+from dercent.weitzenboeck import CentralizerGenerator, sl2_triple
 
-from support import write_registry
+from support import random_derivation, random_poly, write_registry
 
 
 def run_cli(capsys, *argv):
@@ -406,6 +407,8 @@ class TestPinnedOutput:
             # rational coefficients: pins the sampled points, ranks and method
             (("rank", "--input", "rank_q.json", "--seed", "5"),
              "77edff65a1c7326841144cb7088e8c57a1d39cbf51019a6fe3eb51beb08f9119"),
+            (("oracle", "kernel", "--n", "3", "--power", "2", "--deg", "4"),
+             "50809b15b97164e312e40c9b750c51681277369fc3de1cee6e439f6fab5d3012"),
         ],
     )
     def test_stdout_digest(self, capsys, tmp_path, monkeypatch, argv, digest):
@@ -484,8 +487,14 @@ json_scalars = st.one_of(
     st.integers(min_value=-(2**200), max_value=2**200),
     json_text,
 )
+# objects the writer encodes through their to_json()
+seeds_and_nvars = st.tuples(st.integers(0, 2**32), st.integers(1, 4))
+json_objects = st.one_of(
+    seeds_and_nvars.map(lambda a: random_poly(random.Random(a[0]), a[1])),
+    seeds_and_nvars.map(lambda a: random_derivation(random.Random(a[0]), a[1])),
+)
 json_trees = st.recursive(
-    json_scalars | st.lists(st.integers(), max_size=4),
+    json_scalars | st.lists(st.integers(), max_size=4) | json_objects,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
@@ -504,7 +513,9 @@ class TestJsonWriter:
     @example({"a": {}, "b": [[[]]], "c": [{}, ()]})
     @example([[0, -1], [True, 1], [2**70]])
     def test_matches_stdlib(self, obj):
-        assert written(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        expected = json.dumps(obj, indent=2, sort_keys=True,
+                              default=lambda o: o.to_json())
+        assert written(obj) == expected + "\n"
 
     @pytest.mark.parametrize(
         "obj", [1.5, [0, 2.0], {"a": {"b": float("nan")}}, {1: "x"}, {"a": {(1,): 0}},
@@ -513,6 +524,14 @@ class TestJsonWriter:
     def test_rejects_floats_non_str_keys_and_other_objects(self, obj):
         with pytest.raises(TypeError):
             written(obj)
+
+    def test_rejects_to_json_returning_a_float(self):
+        class Inexact:
+            def to_json(self):
+                return 0.5
+
+        with pytest.raises(TypeError):
+            written({"a": [Inexact()]})
 
 
 class TestReportStreaming:
@@ -548,6 +567,31 @@ class TestReportStreaming:
         assert len(out) > 800_000
         assert max(writes) <= 128 * 1024
 
+    def test_first_block_precedes_last_generator_encoding(self, monkeypatch):
+        # each generator is encoded when the writer reaches it, so output
+        # starts before the last generator has been turned into JSON
+        events = []
+        to_json = CentralizerGenerator.to_json
+
+        def spied_to_json(self):
+            events.append("encode")
+            return to_json(self)
+
+        class Spy(io.StringIO):
+            def write(self, s):
+                events.append("write")
+                return super().write(s)
+
+        monkeypatch.setattr(CentralizerGenerator, "to_json", spied_to_json)
+        spy = Spy()
+        monkeypatch.setattr(sys, "stdout", spy)
+        assert main(["centralizer", "--n", "5"]) == 0
+        last_encode = len(events) - 1 - events[::-1].index("encode")
+        assert events.index("write") < last_encode
+        assert hashlib.sha256(spy.getvalue().encode()).hexdigest() == (
+            "1267fcc57631bcff8a48bd87b6ca0123ba9aef0b661e2e2beb33b688a1228ff7"
+        )
+
 
 class TestOracleCommands:
     def test_kernel(self, capsys):
@@ -565,6 +609,15 @@ class TestOracleCommands:
     def test_verify_prop1(self, capsys):
         data = payload(capsys, "oracle", "verify-prop1", "--n", "3", "--deg", "2")
         assert data["result"]["ok"] is True
+
+    def test_verify_prop1_unknowns_over_cap(self, capsys, monkeypatch):
+        # 21 monomials fit a cap of 100, the 5 x 21 unknowns do not
+        monkeypatch.setattr(oracle, "MONOMIAL_COUNT_CAP", 100)
+        code, out, err = run_cli(capsys, "oracle", "verify-prop1", "--n", "5",
+                                 "--deg", "2")
+        assert code == 2
+        assert out == ""
+        assert "105 unknowns" in err
 
     def test_oracle_rank(self, capsys, tmp_path):
         t = sl2_triple(3)

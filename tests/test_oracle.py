@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dercent import oracle
 from dercent.derivation import Derivation
 from dercent.errors import PreconditionError, ResourceLimitError
 from dercent.linalg import rank, rref
@@ -199,6 +200,16 @@ class TestCentralizerBasis:
         nonlinear = Derivation((x1 * x2, Poly.zero(3), Poly.zero(3)))
         with pytest.raises(PreconditionError):
             centralizer_basis(nonlinear, 1)
+
+    def test_unknown_count_guard(self, monkeypatch):
+        # the dense block is keyed by the n x monomials unknowns: 5 x 21
+        # = 105 unknowns at degree 2 exceed a cap of 100, 21 monomials do not
+        D5 = weitzenboeck_derivation(5)
+        assert len(centralizer_basis(D5, 2)) == 17
+        monkeypatch.setattr(oracle, "MONOMIAL_COUNT_CAP", 100)
+        assert kernel_power_basis(D5, 1, 2).dimension()
+        with pytest.raises(ResourceLimitError, match="105 unknowns"):
+            centralizer_basis(D5, 2)
 
     def test_lower_degree_basis_is_a_prefix(self):
         # the verify suite takes the low-degree part of one shared basis
