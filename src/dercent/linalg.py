@@ -1,12 +1,13 @@
 """Exact Gaussian elimination over the rationals and over Q[x].
 
-Matrices cross the public functions as plain lists of dense Fraction
-rows.  Inside, elimination works on sparse rows (column -> nonzero
-Fraction), so a row update costs the support of the pivot row, not the
-width of the matrix, and rows that share no column with the pivot row
-are never touched.  Pivoting takes columns left to right and, in each,
-the first remaining row with a nonzero entry there, so callers control
-the canonical form through their column ordering.
+Rational matrices cross the public functions as sparse rows: a row or a
+vector is a dict from column index to its nonzero Fraction entry, and an
+absent column is zero.  Elimination works on these rows directly, so a
+row update costs the support of the pivot row, not the width of the
+matrix, and rows that share no column with the pivot row are never
+touched.  Pivoting takes columns left to right and, in each, the first
+remaining row with a nonzero entry there, so callers control the
+canonical form through their column ordering.
 
 Polynomial matrices are eliminated fraction-free (Bareiss), so every
 entry stays a polynomial and no rational function is ever formed.
@@ -19,7 +20,6 @@ from typing import Sequence
 
 from .poly import Poly, poly_divexact
 
-Row = list[Fraction]
 SparseRow = dict[int, Fraction]
 
 _ZERO = Fraction(0)
@@ -99,82 +99,57 @@ def fraction_free_eliminate(m: list[list[Poly]], ncols: int) -> list[int]:
     return pivots
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
+def rref(rows: Sequence[SparseRow], ncols: int) -> tuple[list[SparseRow], list[int]]:
     """Reduced row-echelon form; returns (nonzero rows, pivot columns)."""
-    if not rows:
-        return [], []
-    m = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in rows]
-    ncols = len(rows[0])
+    m = [{j: Fraction(x) for j, x in row.items() if x} for row in rows]
     pivots = _eliminate(m, ncols)
-    reduced = [[row.get(j, _ZERO) for j in range(ncols)] for row in m[: len(pivots)]]
-    return reduced, pivots
+    return m[: len(pivots)], pivots
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[0])
+def rank(rows: Sequence[SparseRow], ncols: int) -> int:
+    return len(rref(rows, ncols)[1])
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Row]:
+def nullspace(rows: Sequence[SparseRow], ncols: int) -> list[SparseRow]:
     """RREF-normalized basis of the right null space."""
-    reduced, pivots = rref(rows)
+    reduced, pivots = rref(rows, ncols)
     pivot_set = set(pivots)
-    basis: list[Row] = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v: list = [0] * ncols  # int zeros: rref converts only nonzero cells
-        v[f] = 1
-        for row, p in zip(reduced, pivots):
-            if row[f]:
-                v[p] = -row[f]
-        basis.append(v)
-    normalized, _ = rref(basis)
-    return normalized
-
-
-def in_row_space(reduced: Sequence[Sequence[Fraction]], pivots: Sequence[int],
-                 vector: Sequence[Fraction]) -> bool:
-    """Membership test against a precomputed RREF."""
-    v = list(map(Fraction, vector))
+    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivot_set}
     for row, p in zip(reduced, pivots):
-        if v[p]:
-            f = v[p]
-            v = [a - f * b for a, b in zip(v, row)]
-    return not any(v)
+        for f, x in row.items():
+            if f != p:  # a reduced row is zero in the other pivot columns
+                basis[f][p] = -x
+    return rref(list(basis.values()), ncols)[0]
+
+
+def in_row_space(reduced: Sequence[SparseRow], pivots: Sequence[int],
+                 vector: SparseRow) -> bool:
+    """Is vector a combination of the rows of a precomputed RREF?"""
+    return solve_many(reduced, [vector])[0] is not None
 
 
 def solve_many(
-    columns: Sequence[Sequence[Fraction]],
-    targets: Sequence[Sequence[Fraction]],
-) -> list[list[Fraction] | None]:
+    columns: Sequence[SparseRow], targets: Sequence[SparseRow]
+) -> list[SparseRow | None]:
     """Express each target as a combination of the given column vectors.
 
-    Returns one coefficient list per target (aligned with `columns`), or
-    None for targets outside the span.  All targets share one elimination;
+    Columns and targets map a row index to its entry.  Returns one
+    coefficient vector per target (column index to coefficient), or None
+    for targets outside the span.  All targets share one elimination;
     pivoting is restricted to the coefficient columns, target columns ride
     along passively.  Free coefficients are set to zero.
     """
-    if not targets:
-        return []
-    if not columns:
-        return [None if any(t) else [] for t in targets]
-    nrows = len(columns[0])
     ncols = len(columns)
-    aug: list[SparseRow] = [{} for _ in range(nrows)]
-    for j, vec in enumerate(list(columns) + list(targets)):
-        for i, x in enumerate(vec):
+    aug: dict[int, SparseRow] = {}
+    for j, vec in enumerate([*columns, *targets]):
+        for i, x in vec.items():
             if x:
-                aug[i][j] = Fraction(x)
-    pivots = _eliminate(aug, ncols)
-    r = len(pivots)
-    solutions: list[list[Fraction] | None] = []
-    for k in range(len(targets)):
-        tcol = ncols + k
-        if any(tcol in aug[i] for i in range(r, nrows)):
-            solutions.append(None)
-            continue
-        coeffs = [_ZERO] * ncols
-        for row_idx, p in enumerate(pivots):
-            coeffs[p] = aug[row_idx].get(tcol, _ZERO)
-        solutions.append(coeffs)
-    return solutions
+                aug.setdefault(i, {})[j] = Fraction(x)
+    m = [aug[i] for i in sorted(aug)]
+    pivots = _eliminate(m, ncols)
+    outside = {j for row in m[len(pivots):] for j in row}
+    return [
+        None if tcol in outside
+        else {p: row[tcol] for p, row in zip(pivots, m) if tcol in row}
+        for tcol in range(ncols, ncols + len(targets))
+    ]

@@ -122,17 +122,17 @@ def matrix_commutant(a: MatrixQ) -> CommutantBasis:
     reduced row-echelon normalized with respect to that coordinate order.
     """
     n = len(a)
-    rows: list[list[Fraction]] = []
+    rows: list[dict[int, Fraction]] = []
     for i in range(n):
         for j in range(n):
-            row = [Fraction(0)] * (n * n)
+            row: dict[int, Fraction] = {}
             for k in range(n):
-                row[k * n + j] += a[i][k]
-                row[i * n + k] -= a[k][j]
+                row[k * n + j] = row.get(k * n + j, 0) + a[i][k]
+                row[i * n + k] = row.get(i * n + k, 0) - a[k][j]
             rows.append(row)
     basis_vectors = linalg.nullspace(rows, n * n)
     matrices = tuple(
-        tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n))
+        tuple(tuple(v.get(i * n + j, Fraction(0)) for j in range(n)) for i in range(n))
         for v in basis_vectors
     )
     return CommutantBasis(matrices)

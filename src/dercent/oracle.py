@@ -79,23 +79,27 @@ class GradedBasis:
         }
 
 
+def _sparse_rows(columns) -> list[linalg.SparseRow]:
+    """Rows of the matrix whose j-th column has the (row key, entry) terms
+    columns[j]: one row per key that occurs, none for a zero row."""
+    rows: dict = {}
+    for j, terms in enumerate(columns):
+        for key, c in terms:
+            rows.setdefault(key, {})[j] = c
+    return list(rows.values())
+
+
 def _null_combinations(keys: Sequence, image) -> list[dict]:
     """Null space of a linear map on the span of finitely many basis keys.
 
     image(key) yields the (key, coefficient) terms of that key's image,
-    all within the same keys.  Each null vector comes back as
-    {key: coefficient}, RREF-normalized against the order of keys.
+    all within the same keys; the images are the sparse columns of the
+    system.  Each null vector comes back as {key: coefficient},
+    RREF-normalized against the order of keys.
     """
-    col = {k: j for j, k in enumerate(keys)}
-    size = len(keys)
-    # int zeros: linalg tests every cell for truth, cheaply for an int
-    rows = [[0] * size for _ in range(size)]
-    for j, k in enumerate(keys):
-        for target, c in image(k):
-            rows[col[target]][j] = c
     return [
-        {keys[j]: x for j, x in enumerate(v) if x}
-        for v in linalg.nullspace(rows, size)
+        {keys[j]: x for j, x in v.items()}
+        for v in linalg.nullspace(_sparse_rows(map(image, keys)), len(keys))
     ]
 
 
@@ -131,6 +135,15 @@ def kernel_power_basis(D: Derivation, power: int, degree: int) -> GradedBasis:
     for t in range(degree + 1):
         vectors.extend(_kernel_block(D, power, t))
     return GradedBasis(degree, tuple(vectors))
+
+
+def _product(nvars: int, gens: Sequence[Poly], evec: Sequence[int]) -> Poly:
+    """The product of gens[g] ** evec[g]."""
+    p = Poly.constant(nvars, 1)
+    for g, e in zip(gens, evec):
+        if e:
+            p = p * g**e
+    return p
 
 
 def _multiplier_exponents(
@@ -186,10 +199,7 @@ def module_span_check(
 
     multipliers: list[tuple[tuple[int, ...], Poly, int]] = []
     for evec in _multiplier_exponents(gen_degrees, degree):
-        p = Poly.constant(nvars, 1)
-        for g, e in zip(kernel_gens, evec):
-            if e:
-                p = p * g**e
+        p = _product(nvars, kernel_gens, evec)
         multipliers.append((evec, p, p.total_degree()))
 
     spanning: list[tuple[int, tuple[int, ...], Poly]] = []
@@ -211,11 +221,8 @@ def module_span_check(
         monos.extend(monomials_of_degree(nvars, t))
     col = {m: j for j, m in enumerate(monos)}
 
-    def flatten(p: Poly) -> list:
-        vec = [0] * len(monos)  # int zeros, as in _null_combinations
-        for exp, c in p.iter_terms():
-            vec[col[exp]] = c
-        return vec
+    def flatten(p: Poly) -> linalg.SparseRow:
+        return {col[exp]: c for exp, c in p.iter_terms()}
 
     solutions = linalg.solve_many(
         [flatten(p) for _, _, p in spanning],
@@ -233,8 +240,7 @@ def module_span_check(
                 "multiplier_exponents": list(spanning[k][1]),
                 "coefficient": str(coeff),
             }
-            for k, coeff in enumerate(sol)
-            if coeff
+            for k, coeff in sorted(sol.items())
         ]
         witnesses.append({"target_index": t_idx, "combination": combination})
     return SpanCheckResult(True, {"witnesses": witnesses})
@@ -251,8 +257,8 @@ def centralizer_basis(D: Derivation, degree: int) -> list[Derivation]:
     if degree < 0:
         raise PreconditionError("degree must be >= 0")
     n = D.nvars
-    # the unknowns are the (coefficient index, monomial) keys, and each
-    # degree's block is a dense square on them
+    # the unknowns are the (coefficient index, monomial) keys; each
+    # degree's system is sparse, but its elimination scans every key
     unknowns = n * _monomial_count(n, degree)
     if unknowns > MONOMIAL_COUNT_CAP:
         raise ResourceLimitError(
@@ -296,16 +302,13 @@ def derivation_span_equal(
     coords = sorted(support, key=lambda im: (im[0], grlex_key(im[1])))
     index = {im: k for k, im in enumerate(coords)}
 
-    def flatten(T: Derivation) -> list:
-        v = [0] * len(coords)  # int zeros, as in _null_combinations
-        for i, c in enumerate(T.coeffs):
-            for exp, coeff in c.iter_terms():
-                v[index[(i, exp)]] = coeff
-        return v
+    def flatten(T: Derivation) -> linalg.SparseRow:
+        return {index[(i, exp)]: coeff
+                for i, c in enumerate(T.coeffs) for exp, coeff in c.iter_terms()}
 
     rows_a = [flatten(T) for T in first]
     rows_b = [flatten(T) for T in second]
-    return linalg.rref(rows_a)[0] == linalg.rref(rows_b)[0]
+    return linalg.rref(rows_a, len(coords))[0] == linalg.rref(rows_b, len(coords))[0]
 
 
 @dataclass(frozen=True)
@@ -363,8 +366,9 @@ def rank_over_fractions(
     def sample() -> int:
         point = tuple(rng.randint(-(10**6), 10**6) for _ in range(n))
         points.append(point)
-        numeric = [[entry.evaluate(point) for entry in row] for row in coeff_matrix]
-        return linalg.rank(numeric)
+        numeric = [{j: entry.evaluate(point) for j, entry in enumerate(row) if entry}
+                   for row in coeff_matrix]
+        return linalg.rank(numeric, len(derivations))
 
     ranks.append(sample())
     ranks.append(sample())
@@ -381,9 +385,12 @@ def kernel_generator_candidates(n: int, degree: int) -> list[Poly]:
 
     Walks the homogeneous kernel components of the basic Weitzenboeck
     derivation by ascending degree and keeps every basis vector not
-    already in the algebra span of the candidates chosen so far.  The
-    output provably spans Ker D up to the requested degree but is only a
-    candidate list as an algebra generating set beyond it.
+    already in the algebra span of the candidates chosen so far.  Per
+    degree t this is one elimination: the degree-t products of the
+    earlier candidates come first and the kernel basis after them, as
+    columns, and the picks are the basis columns that become pivots.
+    The output provably spans Ker D up to the requested degree but is
+    only a candidate list as an algebra generating set beyond it.
     """
     cap = CANDIDATE_DEGREE_CAP.get(n)
     if cap is None:
@@ -393,10 +400,17 @@ def kernel_generator_candidates(n: int, degree: int) -> list[Poly]:
             f"degree {degree} exceeds the candidate-search cap {cap} for n={n}"
         )
     D = weitzenboeck_derivation(n)
-    one = Poly.constant(n, 1)
     candidates: list[Poly] = []
     for t in range(1, degree + 1):
-        for v in _kernel_block(D, 1, t):
-            if not module_span_check([one], candidates, GradedBasis(t, (v,)), t).ok:
-                candidates.append(v)
+        gen_degrees = [g.total_degree() for g in candidates]
+        columns = [
+            _product(n, candidates, evec)
+            for evec in _multiplier_exponents(gen_degrees, t)
+            if sum(e * d for e, d in zip(evec, gen_degrees)) == t
+        ]
+        products = len(columns)
+        columns += _kernel_block(D, 1, t)
+        rows = _sparse_rows(p.iter_terms() for p in columns)
+        _, pivots = linalg.rref(rows, len(columns))
+        candidates += [columns[j] for j in pivots if j >= products]
     return candidates

@@ -8,9 +8,10 @@ of earlier picks) and are flagged as candidates rather than certified
 algebra generating sets.  `search_degree` records how far the search
 looked; below that degree the entries provably span the kernel.
 
-Entries are loaded leniently: structural problems surface when the
-construction checks that every generator-set element is annihilated by
-the n-th power of the derivation.
+Loading checks only that each entry sits under its own n with n-variable
+generators; other structural problems surface when the construction
+checks that every generator-set element is annihilated by the n-th power
+of the derivation.
 """
 
 from __future__ import annotations
@@ -66,9 +67,15 @@ def load_registry(path: str | Path | None = None) -> dict[int, KernelEntry]:
     text = Path(path).read_text() if path is not None else default_registry_text()
     try:
         raw = json.loads(text)
-        return {int(k): KernelEntry.from_json(v) for k, v in raw.items()}
+        registry = {int(k): KernelEntry.from_json(v) for k, v in raw.items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise RegistryError(f"malformed kernel registry: {exc}") from exc
+    for n, entry in registry.items():
+        if entry.n != n or any(g.nvars != n for g in entry.generators):
+            raise RegistryError(
+                f"malformed kernel registry: the entry under key {n} is not for n={n}"
+            )
+    return registry
 
 
 def registry_entry(n: int, path: str | Path | None = None) -> KernelEntry:

@@ -121,7 +121,18 @@ def reference_evaluate(p: Poly, point) -> Fraction:
 
 
 # Dense reference elimination: the row-list Gauss-Jordan that dercent.linalg
-# used before its rows became sparse.  Tests compare the library against it.
+# used before its rows became sparse.  Tests compare the library against it,
+# converting between the two row formats with `sparse` and `dense`.
+
+
+def sparse(vector) -> dict[int, Fraction]:
+    """A dense vector as the sparse row dercent.linalg takes."""
+    return {j: Fraction(x) for j, x in enumerate(vector) if x}
+
+
+def dense(row: dict[int, Fraction], ncols: int) -> list[Fraction]:
+    """A sparse row of dercent.linalg as a dense vector of ncols entries."""
+    return [Fraction(row.get(j, 0)) for j in range(ncols)]
 
 
 def reference_eliminate(m: list[list[Fraction]], ncols: int) -> list[int]:

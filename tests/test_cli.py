@@ -27,7 +27,7 @@ from dercent.linearder import (
     matrix_to_json,
 )
 from dercent.poly import Poly
-from dercent.registry import load_registry
+from dercent.registry import KernelEntry, load_registry, registry_to_json
 from dercent.weitzenboeck import CentralizerGenerator, sl2_triple
 
 from support import random_derivation, random_poly, write_registry
@@ -357,6 +357,25 @@ class TestVerifyCommand:
         assert code == 3
         assert out == ""
         assert "degree must be >= 0" in err
+
+    @pytest.mark.parametrize("mismatch", ["entry", "generators"])
+    @pytest.mark.parametrize(
+        "command", [("gens", "--n", "3"), ("verify", "--n", "3", "--deg", "2")]
+    )
+    def test_registry_entry_must_match_its_key(self, capsys, tmp_path, command,
+                                               mismatch):
+        # key "3" holds the n=4 entry, or an n=3 entry with 4-variable generators
+        registry = dict(load_registry())
+        four = registry[4]
+        registry[3] = four if mismatch == "entry" else KernelEntry(
+            3, four.generators, four.source, four.search_degree
+        )
+        path = tmp_path / "registry.json"
+        path.write_text(registry_to_json(registry))
+        code, out, err = run_cli(capsys, *command, "--registry", str(path))
+        assert code == 2
+        assert out == ""
+        assert "malformed kernel registry: the entry under key 3" in err
 
 
 class TestPinnedOutput:

@@ -1,4 +1,7 @@
-"""Exact rational elimination: echelon forms, null spaces, solving."""
+"""Exact rational elimination: echelon forms, null spaces, solving.
+
+Rows and vectors are sparse: column index to nonzero Fraction entry.
+"""
 
 from fractions import Fraction
 
@@ -8,81 +11,93 @@ from hypothesis import strategies as st
 from dercent.linalg import in_row_space, nullspace, rank, rref, solve_many
 
 from support import (
+    dense,
     reference_nullspace,
     reference_rref,
     reference_solve_many,
+    sparse,
 )
 
 F = Fraction
 
 
+def assert_sparse(vectors):
+    """Only nonzero Fraction entries, keyed by column index."""
+    for v in vectors:
+        assert all(type(j) is int and type(x) is Fraction and x for j, x in v.items())
+
+
 def test_rref_identity():
-    reduced, pivots = rref([[2, 0], [0, 3]])
-    assert reduced == [[1, 0], [0, 1]]
+    reduced, pivots = rref([{0: 2}, {1: 3}], 2)
+    assert reduced == [{0: 1}, {1: 1}]
     assert pivots == [0, 1]
+    assert_sparse(reduced)
 
 
 def test_rref_dependent_rows():
-    reduced, pivots = rref([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    assert len(reduced) == 2
+    reduced, pivots = rref([{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6}, {1: 1, 2: 1}], 3)
     assert pivots == [0, 1]
-    assert reduced[0] == [1, 0, 1]
-    assert reduced[1] == [0, 1, 1]
+    assert reduced == [{0: 1, 2: 1}, {1: 1, 2: 1}]
+    assert_sparse(reduced)
 
 
 def test_rank():
-    assert rank([[1, 2], [2, 4]]) == 1
-    assert rank([[1, 0], [0, 1]]) == 2
-    assert rank([]) == 0
+    assert rank([{0: 1, 1: 2}, {0: 2, 1: 4}], 2) == 1
+    assert rank([{0: 1}, {1: 1}], 2) == 2
+    assert rank([], 0) == 0
+    assert rank([{}, {0: 0}], 3) == 0
 
 
 def test_nullspace_known_kernel():
     # x + y + z = 0 has a 2-dimensional solution space
-    basis = nullspace([[1, 1, 1]], 3)
+    basis = nullspace([{0: 1, 1: 1, 2: 1}], 3)
     assert len(basis) == 2
     for v in basis:
-        assert sum(v) == 0
+        assert sum(v.values()) == 0
     # Basis is itself in reduced row-echelon form
-    assert rref(basis)[0] == basis
+    assert rref(basis, 3)[0] == basis
+    assert_sparse(basis)
 
 
 def test_nullspace_full_and_trivial():
-    assert nullspace([], 2) == [[1, 0], [0, 1]]
-    assert nullspace([[1, 0], [0, 1]], 2) == []
+    assert nullspace([], 2) == [{0: 1}, {1: 1}]
+    assert nullspace([{0: 1}, {1: 1}], 2) == []
 
 
 def test_nullspace_exactness():
-    basis = nullspace([[F(1, 3), F(1, 7)]], 2)
+    basis = nullspace([{0: F(1, 3), 1: F(1, 7)}], 2)
     assert len(basis) == 1
     v = basis[0]
     assert F(1, 3) * v[0] + F(1, 7) * v[1] == 0
+    assert_sparse(basis)
 
 
 def test_solve_many_consistent_and_not():
-    columns = [[1, 0, 1], [0, 1, 1]]
-    targets = [[1, 1, 2], [1, 0, 0]]
+    columns = [{0: 1, 2: 1}, {1: 1, 2: 1}]
+    targets = [{0: 1, 1: 1, 2: 2}, {0: 1}]
     sols = solve_many(columns, targets)
-    assert sols[0] == [1, 1]
-    assert sols[1] is None
+    assert sols == [{0: 1, 1: 1}, None]
+    assert_sparse(sols[:1])
 
 
 def test_solve_many_free_columns_zeroed():
-    columns = [[1, 0], [2, 0], [1, 0]]  # dependent columns
-    sols = solve_many(columns, [[3, 0]])
-    assert sols[0] is not None
-    x = sols[0]
-    assert x[0] * 1 + x[1] * 2 + x[2] * 1 == 3
+    columns = [{0: 1}, {0: 2}, {0: 1}]  # dependent columns
+    sols = solve_many(columns, [{0: 3}])
+    # the free coefficients are zero, so only the pivot column's is stored
+    assert sols == [{0: 3}]
+    assert_sparse(sols)
 
 
 def test_in_row_space():
-    reduced, pivots = rref([[1, 0, 1], [0, 1, 1]])
-    assert in_row_space(reduced, pivots, [2, 3, 5])
-    assert not in_row_space(reduced, pivots, [0, 0, 1])
+    reduced, pivots = rref([{0: 1, 2: 1}, {1: 1, 2: 1}], 3)
+    assert in_row_space(reduced, pivots, {0: 2, 1: 3, 2: 5})
+    assert not in_row_space(reduced, pivots, {2: 1})
 
 
 # Against the dense reference elimination, on random sparse rational
 # matrices: rows and pivots of the RREF, ranks, null spaces, row-space
-# membership and solutions must be equal, not merely equivalent.
+# membership and solutions must be equal, not merely equivalent.  The
+# strategies draw dense rows; the tests convert them at the boundary.
 
 entries = st.one_of(
     st.just(F(0)),
@@ -151,14 +166,14 @@ def combination(draw, vectors, length):
 def test_rref_rank_nullspace_match_reference(matrix):
     rows, ncols = matrix
     expected_rows, expected_pivots = reference_rref(rows)
-    reduced, pivots = rref(rows)
+    reduced, pivots = rref([sparse(row) for row in rows], ncols)
     assert pivots == expected_pivots
-    assert reduced == expected_rows
-    assert all(type(x) is Fraction for row in reduced for x in row)
-    assert rank(rows) == len(expected_pivots)
-    basis = nullspace(rows, ncols)
-    assert basis == reference_nullspace(rows, ncols)
-    assert all(type(x) is Fraction for v in basis for x in v)
+    assert [dense(row, ncols) for row in reduced] == expected_rows
+    assert_sparse(reduced)
+    assert rank([sparse(row) for row in rows], ncols) == len(expected_pivots)
+    basis = nullspace([sparse(row) for row in rows], ncols)
+    assert [dense(v, ncols) for v in basis] == reference_nullspace(rows, ncols)
+    assert_sparse(basis)
 
 
 @given(matrices, st.data())
@@ -166,11 +181,12 @@ def test_in_row_space_matches_reference(matrix, data):
     rows, ncols = matrix
     inside = combination(data.draw, rows, ncols)
     anywhere = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
-    reduced, pivots = rref(rows)
-    assert in_row_space(reduced, pivots, inside)
+    reduced, pivots = rref([sparse(row) for row in rows], ncols)
+    expected_rows, expected_pivots = reference_rref(rows)
+    assert in_row_space(reduced, pivots, sparse(inside))
     for v in (inside, anywhere):
-        assert in_row_space(reduced, pivots, v) == in_row_space(
-            *reference_rref(rows), v
+        assert in_row_space(reduced, pivots, sparse(v)) == in_row_space(
+            [sparse(row) for row in expected_rows], expected_pivots, sparse(v)
         )
 
 
@@ -182,16 +198,22 @@ def test_solve_many_matches_reference(matrix, data):
         st.lists(entries, min_size=length, max_size=length), max_size=3
     ))
     targets = inside + anywhere
-    solutions = solve_many(rows, targets)
-    assert solutions == reference_solve_many(rows, targets)
+    solutions = solve_many([sparse(v) for v in rows], [sparse(t) for t in targets])
+    assert [None if x is None else dense(x, len(rows)) for x in solutions] == (
+        reference_solve_many(rows, targets)
+    )
+    assert_sparse(x for x in solutions if x is not None)
     for target, x in zip(inside, solutions):
         assert x is not None
-        assert [sum((c * v[i] for c, v in zip(x, rows)), F(0))
+        assert [sum((c * rows[k][i] for k, c in x.items()), F(0))
                 for i in range(length)] == target
-    assert solve_many(rows, []) == []
+    assert solve_many([sparse(v) for v in rows], []) == []
 
 
 def test_solve_many_without_columns():
     targets = [[0, 0], [0, 1], []]
-    assert solve_many([], targets) == reference_solve_many([], targets)
-    assert solve_many([], targets) == [[], None, []]
+    solutions = solve_many([], [sparse(t) for t in targets])
+    assert solutions == [{}, None, {}]
+    assert [None if x is None else dense(x, 0) for x in solutions] == (
+        reference_solve_many([], targets)
+    )

@@ -31,7 +31,7 @@ from dercent.poly import Poly
 from dercent.ratfunc import RatFunc
 from dercent.weitzenboeck import weitzenboeck_derivation
 
-from support import reference_decompose
+from support import dense, reference_decompose, sparse
 
 x1, x2, x3 = Poly.variables(3)
 a2 = x1 * x3 - Fraction(1, 2) * x2**2
@@ -218,9 +218,9 @@ def powers(a):
 
 def inverse(p):
     n = len(p)
-    columns = [[p[i][j] for i in range(n)] for j in range(n)]
-    units = [[int(i == k) for i in range(n)] for k in range(n)]
-    inverse_columns = linalg.solve_many(columns, units)
+    columns = [sparse([p[i][j] for i in range(n)]) for j in range(n)]
+    units = [{k: 1} for k in range(n)]
+    inverse_columns = [dense(v, n) for v in linalg.solve_many(columns, units)]
     return matrix([[inverse_columns[k][i] for k in range(n)] for i in range(n)])
 
 
@@ -236,9 +236,10 @@ def combine(coeffs, mats):
 def coordinates(mats, basis):
     """Rational M with mats[j] = sum_k M[j][k] * basis[k]."""
     def flat(m):
-        return [x for row in m for x in row]
+        return sparse([x for row in m for x in row])
 
-    return linalg.solve_many([flat(b) for b in basis], [flat(m) for m in mats])
+    return [dense(v, len(basis))
+            for v in linalg.solve_many([flat(b) for b in basis], [flat(m) for m in mats])]
 
 
 def check_decomposition(T, a, coeffs=None, mats=None, reference=True):
@@ -277,7 +278,7 @@ def conjugated_jordan(draw, n):
     """(A, l): A = P J P^-1 for a random invertible integer P, and the
     linear constant l = (P^-1 x)_1 of D_A."""
     p = draw(integer_matrices(n))
-    assume(linalg.rank([list(row) for row in p]) == n)
+    assume(linalg.rank([sparse(row) for row in p], n) == n)
     p_inv = inverse(p)
     a = matrix_mul(matrix_mul(p, jordan_nilpotent(n)), p_inv)
     assume(a != jordan_nilpotent(n))

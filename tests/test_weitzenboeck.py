@@ -232,11 +232,8 @@ class TestCentralizerGenerators:
         index = {c: k for k, c in enumerate(coords)}
 
         def flatten(T):
-            v = [Fraction(0)] * len(coords)
-            for i, c in enumerate(T.coeffs):
-                for exp, coeff in c.terms():
-                    v[index[(i, exp)]] = Fraction(coeff)
-            return v
+            return {index[(i, exp)]: Fraction(coeff)
+                    for i, c in enumerate(T.coeffs) for exp, coeff in c.terms()}
 
         sols = solve_many(
             [flatten(t) for t in spanning], [flatten(t) for t in enumerated]
@@ -354,10 +351,7 @@ class TestFiltration:
             index = {m: k for k, m in enumerate(coords)}
 
             def flatten(p):
-                v = [Fraction(0)] * len(coords)
-                for exp, c in p.terms():
-                    v[index[exp]] = Fraction(c)
-                return v
+                return {index[exp]: Fraction(c) for exp, c in p.terms()}
 
             sols = solve_many(
                 [flatten(v) for v in inner.vectors],
