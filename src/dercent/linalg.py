@@ -9,6 +9,10 @@ touched.  Pivoting takes columns left to right and, in each, the first
 remaining row with a nonzero entry there, so callers control the
 canonical form through their column ordering.
 
+`rank` also counts over the prime field of a given modulus, on the same
+pivot loop.  A rank mod p is a lower bound on the rank over Q, which
+is what the counting checks in `oracle` need.
+
 Polynomial matrices are eliminated fraction-free (Bareiss), so every
 entry stays a polynomial and no rational function is ever formed.
 """
@@ -25,13 +29,18 @@ SparseRow = dict[int, Fraction]
 _ZERO = Fraction(0)
 
 
-def _eliminate(m: list[SparseRow], ncols: int) -> list[int]:
+def _eliminate(m: list[SparseRow], ncols: int, modulus: int | None = None) -> list[int]:
     """Gauss-Jordan on m in place, pivoting only in the first ncols columns.
 
-    Returns the pivot columns: row k holds the pivot of pivots[k], and the
-    later rows are zero in the first ncols columns.  Rows keep only their
-    nonzero entries.
+    Entries are Fractions, or with a modulus p the residues 1..p-1 of the
+    integers mod p (the entries must already be reduced).  Returns the
+    pivot columns: row k holds the pivot of pivots[k], and the later rows
+    are zero in the first ncols columns.  Rows keep only their nonzero
+    entries.
     """
+    # The field is chosen once: over Q an update is exactly the Fraction
+    # arithmetic below, mod p each updated row is reduced afterwards.
+    zero = _ZERO if modulus is None else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -39,23 +48,49 @@ def _eliminate(m: list[SparseRow], ncols: int) -> list[int]:
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        prow = m[r] = {j: x * inv for j, x in m[r].items()}
+        if modulus is None:
+            inv = 1 / m[r][c]
+            prow = m[r] = {j: x * inv for j, x in m[r].items()}
+        else:
+            inv = pow(m[r][c], -1, modulus)
+            prow = m[r] = {j: x * inv % modulus for j, x in m[r].items()}
         for i, row in enumerate(m):
             f = row.get(c) if i != r else None
             if f is None:
                 continue
             for j, b in prow.items():
-                x = row.get(j, _ZERO) - f * b
+                x = row.get(j, zero) - f * b
                 if x:
                     row[j] = x
                 else:
                     del row[j]
+            if modulus is not None:
+                for j in prow:
+                    x = row.get(j)
+                    if x is not None:
+                        x %= modulus
+                        if x:
+                            row[j] = x
+                        else:
+                            del row[j]
         pivots.append(c)
         r += 1
         if r == len(m):
             break
     return pivots
+
+
+def _residue(x: int | Fraction, modulus: int) -> int:
+    """x mod a prime: numerator times the inverse of the denominator.
+
+    Raises ZeroDivisionError when the modulus divides the denominator.
+    """
+    if type(x) is int:
+        return x % modulus
+    den = x.denominator % modulus
+    if not den:
+        raise ZeroDivisionError(f"{modulus} divides the denominator of {x}")
+    return x.numerator * pow(den, -1, modulus) % modulus
 
 
 def fraction_free_eliminate(m: list[list[Poly]], ncols: int) -> list[int]:
@@ -106,8 +141,16 @@ def rref(rows: Sequence[SparseRow], ncols: int) -> tuple[list[SparseRow], list[i
     return m[: len(pivots)], pivots
 
 
-def rank(rows: Sequence[SparseRow], ncols: int) -> int:
-    return len(rref(rows, ncols)[1])
+def rank(rows: Sequence[SparseRow], ncols: int, modulus: int | None = None) -> int:
+    """Rank over Q, or over the integers mod a prime modulus.
+
+    Mod p the entries are reduced by `_residue`, so a ZeroDivisionError
+    means p divides a denominator and the count says nothing.
+    """
+    if modulus is None:
+        return len(rref(rows, ncols)[1])
+    m = [{j: r for j, x in row.items() if (r := _residue(x, modulus))} for row in rows]
+    return len(_eliminate(m, ncols, modulus))
 
 
 def nullspace(rows: Sequence[SparseRow], ncols: int) -> list[SparseRow]:

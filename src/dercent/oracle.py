@@ -7,6 +7,11 @@ space, and rank over the fraction field by random evaluation with a
 symbolic fraction-free fallback.  These routines are deliberately
 elementary so they can serve as ground truth for the generator
 constructions.
+
+Span and centralizer equalities can also be certified by counting: the
+rank mod MODULUS of elements known to lie in a space bounds its
+dimension from below, and the corank mod MODULUS of the linear system
+that defines the space bounds it from above.
 """
 
 from __future__ import annotations
@@ -27,6 +32,10 @@ from .poly import (
 from .weitzenboeck import GeneratorSet, weitzenboeck_derivation
 
 MONOMIAL_COUNT_CAP = 20_000
+
+# The prime the counting certificates reduce by.  Below 2**30, so a
+# residue is one CPython digit; any prime gives sound bounds.
+MODULUS = 2**30 - 35
 
 # Degree caps for the kernel-candidate search, keyed by variable count.
 CANDIDATE_DEGREE_CAP = {2: 6, 3: 6, 4: 6, 5: 4, 6: 3}
@@ -103,18 +112,30 @@ def _null_combinations(keys: Sequence, image) -> list[dict]:
     ]
 
 
+def _apply_power(D: Derivation, power: int, p: Poly) -> Poly:
+    for _ in range(power):
+        p = D(p)
+    return p
+
+
 def _kernel_block(D: Derivation, power: int, degree: int) -> list[Poly]:
     """Kernel of D^power on the homogeneous component of a fixed degree."""
     n = D.nvars
 
     def image(m: Exponent):
-        p = Poly(n, {m: 1})
-        for _ in range(power):
-            p = D(p)
-        return p.iter_terms()
+        return _apply_power(D, power, Poly(n, {m: 1})).iter_terms()
 
     monos = monomials_of_degree(n, degree)
     return [Poly(n, v) for v in _null_combinations(monos, image)]
+
+
+def _check_kernel_args(D: Derivation, power: int, degree: int) -> None:
+    if power < 1:
+        raise PreconditionError("power must be >= 1")
+    if degree < 0:
+        raise PreconditionError("degree must be >= 0")
+    _check_linear(D)
+    _guard_monomial_count(D.nvars, degree)
 
 
 def kernel_power_basis(D: Derivation, power: int, degree: int) -> GradedBasis:
@@ -125,16 +146,37 @@ def kernel_power_basis(D: Derivation, power: int, degree: int) -> GradedBasis:
     the output vectors are homogeneous, RREF-normalized against the
     descending graded-lex monomial order, and sorted by degree.
     """
-    if power < 1:
-        raise PreconditionError("power must be >= 1")
-    if degree < 0:
-        raise PreconditionError("degree must be >= 0")
-    _check_linear(D)
-    _guard_monomial_count(D.nvars, degree)
+    _check_kernel_args(D, power, degree)
     vectors: list[Poly] = []
     for t in range(degree + 1):
         vectors.extend(_kernel_block(D, power, t))
     return GradedBasis(degree, tuple(vectors))
+
+
+def kernel_dimension_bounds(
+    D: Derivation, power: int, degree: int
+) -> list[list[int]] | None:
+    """bounds[i - 1][t] >= dim (Ker D^i)_t for i = 1..power, t = 0..degree.
+
+    Each is the number of degree-t monomials minus the rank mod MODULUS
+    of the system kernel_power_basis solves for D^i in that degree; a
+    rank mod p is at most the rank over Q.  The images of D^i come from
+    those of D^(i-1), one application of D each.  None when MODULUS
+    divides a denominator of D.
+    """
+    _check_kernel_args(D, power, degree)
+    bounds: list[list[int]] = [[] for _ in range(power)]
+    for t in range(degree + 1):
+        monos = monomials_of_degree(D.nvars, t)
+        images = [Poly(D.nvars, {m: 1}) for m in monos]
+        for row in bounds:
+            images = [D(p) for p in images]
+            rows = _sparse_rows(p.iter_terms() for p in images)
+            try:
+                row.append(len(monos) - linalg.rank(rows, len(monos), MODULUS))
+            except ZeroDivisionError:
+                return None
+    return bounds
 
 
 def _product(nvars: int, gens: Sequence[Poly], evec: Sequence[int]) -> Poly:
@@ -174,18 +216,11 @@ class SpanCheckResult:
     certificate: dict
 
 
-def module_span_check(
-    S: GeneratorSet | Sequence[Poly],
-    kernel_gens: Sequence[Poly],
-    target: GradedBasis,
-    degree: int,
-) -> SpanCheckResult:
-    """Is every target vector in the span of {c*s} up to the degree cap?
-
-    c runs over products of the kernel generators and s over the given
-    set; only products with deg(c*s) <= degree participate.  On success
-    the certificate lists one witness combination per target vector; on
-    failure it reports the first vector outside the span.
+def _span_products(
+    S: GeneratorSet | Sequence[Poly], kernel_gens: Sequence[Poly], degree: int
+) -> tuple[int, list[Poly], list[tuple[int, tuple[int, ...], Poly]]]:
+    """(nvars, the nonzero elements s, the products (s index, exponents of
+    c, c*s)) for every product c of kernel generators with deg(c*s) <= degree.
     """
     elements = S.polys() if isinstance(S, GeneratorSet) else list(S)
     elements = [s for s in elements if s]
@@ -212,6 +247,66 @@ def module_span_check(
             p = c * s
             if p and p.total_degree() <= degree:
                 spanning.append((s_idx, evec, p))
+    return nvars, elements, spanning
+
+
+def certified_span_dimension(
+    S: GeneratorSet | Sequence[Poly],
+    kernel_gens: Sequence[Poly],
+    D: Derivation,
+    power: int,
+    bounds: Sequence[int],
+) -> int | None:
+    """dim Ker D^power up to degree len(bounds) - 1, if the products c*s
+    span it.
+
+    Decided by counting, with the products and the checks of
+    module_span_check; bounds[t] is an upper bound on dim (Ker D^power)_t,
+    as kernel_dimension_bounds gives.  When every kernel generator g is
+    homogeneous with D(g) = 0 and every element s is homogeneous with
+    D^power(s) = 0, each product c*s lies in Ker D^power, so in each
+    degree t rank_p(products) <= dim span <= dim (Ker D^power)_t <=
+    bounds[t].  If the two ends meet in every degree the span is the
+    whole kernel and its dimension is returned.  None means counting did
+    not decide: module_span_check has to.
+    """
+    nvars, elements, spanning = _span_products(S, kernel_gens, len(bounds) - 1)
+    if not all(g.is_homogeneous() and not D(g) for g in kernel_gens):
+        return None
+    if not all(s.is_homogeneous() and not _apply_power(D, power, s)
+               for s in elements):
+        return None
+    by_degree: dict[int, list[Poly]] = {}
+    for _, _, p in spanning:
+        by_degree.setdefault(p.total_degree(), []).append(p)
+    for t, bound in enumerate(bounds):
+        products = by_degree.get(t, [])
+        if len(products) < bound:
+            return None
+        col = {m: j for j, m in enumerate(monomials_of_degree(nvars, t))}
+        rows = [{col[exp]: c for exp, c in p.iter_terms()} for p in products]
+        try:
+            if linalg.rank(rows, len(col), MODULUS) != bound:
+                return None
+        except ZeroDivisionError:
+            return None
+    return sum(bounds)
+
+
+def module_span_check(
+    S: GeneratorSet | Sequence[Poly],
+    kernel_gens: Sequence[Poly],
+    target: GradedBasis,
+    degree: int,
+) -> SpanCheckResult:
+    """Is every target vector in the span of {c*s} up to the degree cap?
+
+    c runs over products of the kernel generators and s over the given
+    set; only products with deg(c*s) <= degree participate.  On success
+    the certificate lists one witness combination per target vector; on
+    failure it reports the first vector outside the span.
+    """
+    nvars, _, spanning = _span_products(S, kernel_gens, degree)
 
     # One solve over every monomial up to the cap.  A pivot updates only
     # the rows (monomials) where its column is nonzero, so homogeneous
@@ -246,12 +341,14 @@ def module_span_check(
     return SpanCheckResult(True, {"witnesses": witnesses})
 
 
-def centralizer_basis(D: Derivation, degree: int) -> list[Derivation]:
-    """Basis of {T : coefficient degree <= degree, [T, D] = 0}.
+def _commutator_system(D: Derivation, degree: int):
+    """The map T -> [T, D] on derivations of coefficient degree <= degree.
 
-    D must be linear.  The commutator with D is a degree-preserving
-    linear map on the space of derivations with homogeneous coefficients,
-    so the null space is assembled one coefficient degree at a time.
+    Returns (image, blocks): blocks[t] lists the unknowns of coefficient
+    degree t as (coefficient index i, monomial m) keys, and image(key)
+    yields the terms of [x^m d_i, D] keyed the same way.  Its k-th
+    coefficient is a_ki x^m - [k = i] D(x^m), where a_ki = d_i(D_k) is a
+    constant because D is linear.
     """
     _check_linear(D)
     if degree < 0:
@@ -265,25 +362,64 @@ def centralizer_basis(D: Derivation, degree: int) -> list[Derivation]:
             f"{unknowns} unknowns ({n} coefficients of degree <= {degree} "
             f"in {n} variables) exceed the cap {MONOMIAL_COUNT_CAP}"
         )
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    a = [[(k, c) for k in range(n) if (c := D.coeffs[k].coefficient(units[i]))]
+         for i in range(n)]
+    applied: dict[Exponent, Poly] = {}  # D(x^m), shared by the n keys of m
 
     def image(key: tuple[int, Exponent]):
         i, m = key
-        unit = Derivation(
-            tuple(Poly(n, {m: 1}) if k == i else Poly.zero(n) for k in range(n))
-        )
-        br = unit.bracket(D)
-        return (((k, exp), c) for k in range(n) for exp, c in br.coeffs[k].iter_terms())
+        dm = applied.get(m)
+        if dm is None:
+            dm = applied[m] = D(Poly(n, {m: 1}))
+        terms = {(k, m): c for k, c in a[i]}
+        for exp, c in dm.iter_terms():
+            x = terms.get((i, exp), 0) - c
+            if x:
+                terms[(i, exp)] = x
+            else:
+                del terms[(i, exp)]
+        return terms.items()
 
+    blocks = [[(i, m) for i in range(n) for m in monomials_of_degree(n, t)]
+              for t in range(degree + 1)]
+    return image, blocks
+
+
+def centralizer_basis(D: Derivation, degree: int) -> list[Derivation]:
+    """Basis of {T : coefficient degree <= degree, [T, D] = 0}.
+
+    D must be linear.  The commutator with D is a degree-preserving
+    linear map on the space of derivations with homogeneous coefficients,
+    so the null space is assembled one coefficient degree at a time.
+    """
+    image, blocks = _commutator_system(D, degree)
+    n = D.nvars
     out: list[Derivation] = []
-    for t in range(degree + 1):
-        monos = monomials_of_degree(n, t)
-        keys = [(i, m) for i in range(n) for m in monos]
+    for keys in blocks:
         for v in _null_combinations(keys, image):
             coeffs = [{} for _ in range(n)]
             for (i, m), c in v.items():
                 coeffs[i][m] = c
             out.append(Derivation(tuple(Poly(n, terms) for terms in coeffs)))
     return out
+
+
+def centralizer_dimension_bound(D: Derivation, degree: int) -> int | None:
+    """An upper bound on the dimension centralizer_basis enumerates.
+
+    The number of unknowns minus the rank mod MODULUS of the [., D]
+    system, summed over the coefficient degrees; None when MODULUS
+    divides a denominator of D.
+    """
+    image, blocks = _commutator_system(D, degree)
+    try:
+        return sum(
+            len(keys) - linalg.rank(_sparse_rows(map(image, keys)), len(keys), MODULUS)
+            for keys in blocks
+        )
+    except ZeroDivisionError:
+        return None
 
 
 def derivation_span_equal(

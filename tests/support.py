@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
+import dercent.verify
 from dercent.derivation import Derivation
 from dercent.errors import InternalInconsistencyError
+from dercent.linalg import nullspace
 from dercent.linearder import linear_derivation, matrix_commutant
-from dercent.poly import Poly, poly_divexact
+from dercent.poly import Poly, monomials_of_degree, poly_divexact
 from dercent.ratfunc import RatFunc
 from dercent.registry import KernelEntry, load_registry, registry_to_json
+from dercent.weitzenboeck import monomial_weight
 
 
 def random_exponent(rng: random.Random, nvars: int, max_degree: int) -> tuple:
@@ -98,6 +102,19 @@ def match_up_to_scalar(actual: list[Derivation], expected: list[Derivation]) -> 
     return True
 
 
+def count_calls(monkeypatch, name, key=lambda args: None) -> Counter:
+    """Count the calls dercent.verify makes to `name`, keyed by key(args)."""
+    calls = Counter()
+    inner = getattr(dercent.verify, name)
+
+    def wrapper(*args, **kwargs):
+        calls[key(args)] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(dercent.verify, name, wrapper)
+    return calls
+
+
 def write_registry(path, n, generators) -> str:
     """The packaged registry with entry n's generators replaced, written to path."""
     registry = dict(load_registry())
@@ -154,6 +171,27 @@ def reference_eliminate(m: list[list[Fraction]], ncols: int) -> list[int]:
         if r == len(m):
             break
     return pivots
+
+
+def reference_rank_mod(rows, ncols: int, modulus: int) -> int:
+    """Rank of dense rational rows over the integers mod a prime, by dense
+    elimination; ValueError if the prime divides a denominator."""
+    m = [[Fraction(x).numerator * pow(Fraction(x).denominator, -1, modulus) % modulus
+          for x in row] for row in rows]
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = pow(m[r][c], -1, modulus)
+        m[r] = [x * inv % modulus for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(a - f * b) % modulus for a, b in zip(m[i], m[r])]
+        r += 1
+    return r
 
 
 def reference_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
@@ -300,3 +338,42 @@ def reference_symbolic_rank(matrix) -> int:
         prev = pivot
         r += 1
     return r
+
+
+def reference_centralizer_basis(D: Derivation, degree: int) -> list[Derivation]:
+    """The centralizer enumeration with each column taken as the general
+    bracket [x^m d_i, D] of a unit derivation, as oracle built it before
+    it wrote the bracket of a unit down directly."""
+    n = D.nvars
+    out = []
+    for t in range(degree + 1):
+        keys = [(i, m) for i in range(n) for m in monomials_of_degree(n, t)]
+        index = {}
+        columns = []
+        for i, m in keys:
+            unit = Derivation(
+                tuple(Poly(n, {m: 1}) if k == i else Poly.zero(n) for k in range(n))
+            )
+            br = unit.bracket(D)
+            columns.append({(k, exp): c for k in range(n)
+                            for exp, c in br.coeffs[k].iter_terms()})
+        rows: dict = {}
+        for j, column in enumerate(columns):
+            for key, c in column.items():
+                rows.setdefault(index.setdefault(key, len(index)), {})[j] = c
+        for v in nullspace(list(rows.values()), len(keys)):
+            coeffs = [{} for _ in range(n)]
+            for j, c in v.items():
+                i, m = keys[j]
+                coeffs[i][m] = c
+            out.append(Derivation(tuple(Poly(n, terms) for terms in coeffs)))
+    return out
+
+
+def sl2_kernel_dimension(n: int, power: int, degree: int) -> int:
+    """dim (Ker D^power)_degree for the basic Weitzenboeck derivation, from
+    sl2 theory: sum over w >= 0 of (p(d, w) - p(d, w + 2)) * min(power, w + 1),
+    with p(d, w) the number of degree-d monomials of weight w."""
+    p = Counter(monomial_weight(m, n) for m in monomials_of_degree(n, degree))
+    return sum((p[w] - p[w + 2]) * min(power, w + 1)
+               for w in range(max(p, default=-1) + 1))

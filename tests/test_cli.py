@@ -30,7 +30,7 @@ from dercent.poly import Poly
 from dercent.registry import KernelEntry, load_registry, registry_to_json
 from dercent.weitzenboeck import CentralizerGenerator, sl2_triple
 
-from support import random_derivation, random_poly, write_registry
+from support import count_calls, random_derivation, random_poly, write_registry
 
 
 def run_cli(capsys, *argv):
@@ -428,6 +428,12 @@ class TestPinnedOutput:
              "77edff65a1c7326841144cb7088e8c57a1d39cbf51019a6fe3eb51beb08f9119"),
             (("oracle", "kernel", "--n", "3", "--power", "2", "--deg", "4"),
              "50809b15b97164e312e40c9b750c51681277369fc3de1cee6e439f6fab5d3012"),
+            # larger span and ladder items, recorded while they were solved
+            # over Q and now certified by counting
+            (("verify", "--n", "4", "--deg", "7"),
+             "5644e5ea38dc7e96a44828e1bc4768c3b6df23c12f774036d8e56bf3a6600dc7"),
+            (("oracle", "verify-prop1", "--n", "5", "--deg", "5"),
+             "8232163365d6da4e7df07bc5a0e1fc1efa339f6190cc36797595a8e61416240f"),
         ],
     )
     def test_stdout_digest(self, capsys, tmp_path, monkeypatch, argv, digest):
@@ -457,6 +463,45 @@ class TestPinnedOutput:
                                  "--registry", "short_registry.json")
         assert code == 1, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestCountingFallback:
+    """When counting certifies nothing, the exact solve gives the same report."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("verify", "--n", "4", "--deg", "5"),
+         "baa47ad7e60b2926ae560cfefe71144beb0ef9e4a6479771de17562b4d4d1af9"),
+        (("oracle", "verify-prop1", "--n", "4", "--deg", "3"),
+         "03752c4bde88544b9939b0a8345f873ad1982c7e9852f9ea3bd265fd99eea71e"),
+    ])
+    def test_modulus_two(self, capsys, monkeypatch, argv, digest):
+        # mod 2 the counts fall short, so every item is solved over Q
+        ladder_solves = count_calls(monkeypatch, "derivation_span_equal")
+        monkeypatch.setattr(oracle, "MODULUS", 2)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert ladder_solves
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_modulus_in_a_denominator(self, capsys, tmp_path, monkeypatch):
+        # a generator scaled by 1/p has no residue mod p, so the span items
+        # whose products use it go exact; the report stays that of the
+        # unscaled registry
+        generators = list(load_registry()[4].generators)
+        span_solves = count_calls(monkeypatch, "module_span_check")
+        outputs = []
+        for name, scale in (("certified", 1), ("scaled", Fraction(1, oracle.MODULUS))):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)  # the report echoes the path
+            write_registry(tmp_path / name / "registry.json", 4,
+                           [generators[0] * scale, *generators[1:]])
+            span_solves.clear()
+            code, out, err = run_cli(capsys, "verify", "--n", "4", "--deg", "4",
+                                     "--registry", "registry.json")
+            assert code == 0, err
+            outputs.append(out)
+            assert bool(span_solves) == (scale != 1)
+        assert outputs[0] == outputs[1]
 
 
 class TestParserReuse:

@@ -5,14 +5,17 @@ Rows and vectors are sparse: column index to nonzero Fraction entry.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from dercent.linalg import in_row_space, nullspace, rank, rref, solve_many
+from dercent.oracle import MODULUS
 
 from support import (
     dense,
     reference_nullspace,
+    reference_rank_mod,
     reference_rref,
     reference_solve_many,
     sparse,
@@ -46,6 +49,18 @@ def test_rank():
     assert rank([{0: 1}, {1: 1}], 2) == 2
     assert rank([], 0) == 0
     assert rank([{}, {0: 0}], 3) == 0
+
+
+def test_rank_mod_p():
+    # 3 divides the first row; 1/2 is 2 mod 3
+    assert rank([{0: 3, 1: 6}, {0: F(1, 2), 1: 1}], 2, modulus=3) == 1
+    assert rank([{0: 3, 1: 6}, {0: F(1, 2), 1: 1}], 2) == 1
+    # full rank over Q, the two rows agree mod 2
+    assert rank([{0: 1, 1: 1}, {0: 1, 1: 3}], 2, modulus=2) == 1
+    assert rank([{0: 1, 1: 1}, {0: 1, 1: 3}], 2) == 2
+    assert rank([], 0, modulus=MODULUS) == 0
+    with pytest.raises(ZeroDivisionError):
+        rank([{0: F(1, 3)}], 1, modulus=3)
 
 
 def test_nullspace_known_kernel():
@@ -174,6 +189,19 @@ def test_rref_rank_nullspace_match_reference(matrix):
     basis = nullspace([sparse(row) for row in rows], ncols)
     assert [dense(v, ncols) for v in basis] == reference_nullspace(rows, ncols)
     assert_sparse(basis)
+
+
+@given(matrices, st.sampled_from([2, 3, 5, MODULUS]))
+def test_rank_mod_p_matches_reference_and_bounds_rank_over_q(matrix, modulus):
+    rows, ncols = matrix
+    sparse_rows = [sparse(row) for row in rows]
+    if any(x.denominator % modulus == 0 for row in rows for x in row):
+        with pytest.raises(ZeroDivisionError):
+            rank(sparse_rows, ncols, modulus=modulus)
+        return
+    r = rank(sparse_rows, ncols, modulus=modulus)
+    assert r == reference_rank_mod(rows, ncols, modulus)
+    assert r <= rank(sparse_rows, ncols)
 
 
 @given(matrices, st.data())

@@ -12,10 +12,15 @@ from dercent import oracle
 from dercent.derivation import Derivation
 from dercent.errors import PreconditionError, ResourceLimitError
 from dercent.linalg import in_row_space, rank, rref
+from dercent.linearder import linear_derivation
 from dercent.oracle import (
+    GradedBasis,
     centralizer_basis,
+    centralizer_dimension_bound,
+    certified_span_dimension,
     derivation_span_equal,
     kernel_generator_candidates,
+    kernel_dimension_bounds,
     kernel_power_basis,
     module_span_check,
     rank_over_fractions,
@@ -30,7 +35,12 @@ from dercent.weitzenboeck import (
     weitzenboeck_derivation,
 )
 
-from support import random_nonzero_poly, reference_symbolic_rank
+from support import (
+    random_nonzero_poly,
+    reference_centralizer_basis,
+    reference_symbolic_rank,
+    sl2_kernel_dimension,
+)
 
 x1, x2, x3 = Poly.variables(3)
 a1 = x1
@@ -203,6 +213,9 @@ class TestCentralizerBasis:
         assert kernel_power_basis(D5, 1, 2).dimension()
         with pytest.raises(ResourceLimitError, match="105 unknowns"):
             centralizer_basis(D5, 2)
+        # the counting bound runs the same guard
+        with pytest.raises(ResourceLimitError, match="105 unknowns"):
+            centralizer_dimension_bound(D5, 2)
 
     def test_no_dense_square_over_the_unknowns(self):
         # n = 20 has 400 unknowns of degree 1: a dense square on them peaks
@@ -218,12 +231,97 @@ class TestCentralizerBasis:
         assert peak < 1_500_000
 
     def test_lower_degree_basis_is_a_prefix(self):
-        # the verify suite takes the low-degree part of one shared basis
-        # in place of building the basis again at the lower degree
+        # the low-degree part of a basis is the basis at the lower degree,
+        # so the verify suite's decompose item sees the same derivations
+        # whether it builds the basis at its cap or filters a larger one
         full = centralizer_basis(D3, 4)
         low = [T for T in full if max(c.total_degree() for c in T.coeffs) <= 2]
         assert low == centralizer_basis(D3, 2)
         assert low == full[: len(low)]
+
+
+    @pytest.mark.parametrize("D", [
+        D3,
+        weitzenboeck_derivation(4),
+        # a diagonal entry puts x^m into the bracket twice: a_ii x^m - D(x^m)
+        linear_derivation([[2, 1, 0], [0, 2, 0], [Fraction(1, 3), 0, -1]]),
+        linear_derivation([[1, -1], [Fraction(5, 2), 0]]),
+    ])
+    def test_matches_the_unit_bracket_reference(self, D):
+        for d in (0, 1, 2):
+            assert centralizer_basis(D, d) == reference_centralizer_basis(D, d)
+
+
+class TestCountingBounds:
+    """The bounds the verify suite counts against, and their certificates."""
+
+    @pytest.mark.parametrize("n, degree", [(3, 5), (4, 5), (5, 4)])
+    def test_kernel_bounds_match_the_sl2_closed_form(self, n, degree):
+        D = weitzenboeck_derivation(n)
+        assert kernel_dimension_bounds(D, n, degree) == [
+            [sl2_kernel_dimension(n, power, t) for t in range(degree + 1)]
+            for power in range(1, n + 1)
+        ]
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_centralizer_bound_is_the_ladder_count(self, n):
+        D = weitzenboeck_derivation(n)
+        for d in (1, 2, 3):
+            expected = sum(sl2_kernel_dimension(n, n, t) for t in range(d + 1))
+            assert centralizer_dimension_bound(D, d) == expected
+            assert kernel_power_basis(D, n, d).dimension() == expected
+
+    @staticmethod
+    def bounds(power, degree):
+        return kernel_dimension_bounds(D3, power, degree)[power - 1]
+
+    def test_span_certified_by_counting(self):
+        S = generator_set(3, [a1, a2], 2)
+        target = kernel_power_basis(D3, 2, 4)
+        assert certified_span_dimension(S, [a1, a2], D3, 2, self.bounds(2, 4)) == (
+            target.dimension()
+        )
+
+    def test_counting_leaves_failures_to_the_exact_solve(self):
+        one = Poly.constant(3, 1)
+        # x2 is missing from the span
+        assert certified_span_dimension([one], [a1, a2], D3, 2, self.bounds(2, 1)) is None
+        # x2 is not in Ker D, as a generator or as an element, so the
+        # products are not known to lie in it (1 and x2 count right)
+        assert certified_span_dimension([one], [a1, x2], D3, 2, self.bounds(2, 1)) is None
+        assert certified_span_dimension([one, x2], [], D3, 1, self.bounds(1, 1)) is None
+        # x1 + a2 lies in Ker D but is not homogeneous; the exact solve
+        # finds the span
+        inhomogeneous = [one, x1 + a2]
+        assert certified_span_dimension(inhomogeneous, [a1], D3, 1, self.bounds(1, 2)) is None
+        assert module_span_check(inhomogeneous, [a1], kernel_power_basis(D3, 1, 2), 2).ok
+
+    def test_modulus_dividing_a_denominator_gives_no_certificate(self, monkeypatch):
+        # a2 has the coefficient -1/2
+        S = generator_set(3, [a1, a2], 2)
+        bounds = self.bounds(2, 4)
+        monkeypatch.setattr(oracle, "MODULUS", 2)
+        assert certified_span_dimension(S, [a1, a2], D3, 2, bounds) is None
+        assert module_span_check(S, [a1, a2], kernel_power_basis(D3, 2, 4), 4).ok
+        half = Derivation((Poly.zero(3), x1 * Fraction(1, 2), x2))
+        assert kernel_dimension_bounds(half, 2, 2) is None
+        assert centralizer_dimension_bound(half, 2) is None
+
+    @pytest.mark.parametrize("elements, kernel_gens, cap", [
+        ([], [], None),
+        ([x1], [Poly.constant(3, 2)], None),
+        ([x1], [a1], 5),
+    ])
+    def test_same_errors_as_module_span_check(self, monkeypatch, elements,
+                                              kernel_gens, cap):
+        target = GradedBasis(2, ())
+        if cap is not None:
+            monkeypatch.setattr(oracle, "MONOMIAL_COUNT_CAP", cap)
+        with pytest.raises(Exception) as exact:
+            module_span_check(elements, kernel_gens, target, 2)
+        with pytest.raises(type(exact.value)) as counted:
+            certified_span_dimension(elements, kernel_gens, D3, 1, [1, 1, 3])
+        assert str(counted.value) == str(exact.value)
 
 
 class TestDerivationSpanEqual:

@@ -1,32 +1,20 @@
-"""Verification suite: each shared construction is built once per run."""
+"""Verification suite: what a run builds, how often and at which size."""
 
-from collections import Counter
-
-import dercent.verify
+from dercent import oracle
 from dercent.poly import Poly
 from dercent.registry import load_registry
-from dercent.verify import run_verification
+from dercent.verify import DECOMPOSE_DEGREE_CAP, run_verification
 
-from support import write_registry
-
-
-def count_calls(monkeypatch, name, key=lambda args: None) -> Counter:
-    """Count the calls dercent.verify makes to `name`, keyed by key(args)."""
-    calls = Counter()
-    inner = getattr(dercent.verify, name)
-
-    def wrapper(*args, **kwargs):
-        calls[key(args)] += 1
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(dercent.verify, name, wrapper)
-    return calls
+from support import count_calls, write_registry
 
 
 def test_each_construction_built_once_per_run(monkeypatch):
     counted = {
         "ladder_generators": count_calls(monkeypatch, "ladder_generators"),
-        "centralizer_basis": count_calls(monkeypatch, "centralizer_basis"),
+        # keyed by the coefficient degree
+        "centralizer_basis": count_calls(
+            monkeypatch, "centralizer_basis", key=lambda args: args[1]
+        ),
         # keyed by the power of D and by the level
         "kernel_power_basis": count_calls(
             monkeypatch, "kernel_power_basis", key=lambda args: args[1]
@@ -34,17 +22,23 @@ def test_each_construction_built_once_per_run(monkeypatch):
         "generator_set": count_calls(
             monkeypatch, "generator_set", key=lambda args: args[2]
         ),
+        "module_span_check": count_calls(monkeypatch, "module_span_check"),
+        "derivation_span_equal": count_calls(monkeypatch, "derivation_span_equal"),
     }
 
     def calls():
         return {name: dict(c) for name, c in counted.items()}
 
-    levels = range(1, 5)
+    # a passing run certifies its spans by counting: the exact kernel basis
+    # is built only for the ladders (level n), the centralizer only for the
+    # decompose item at its cap, and no span is solved over Q
     expected = {
         "ladder_generators": {None: 1},
-        "centralizer_basis": {None: 1},
-        "kernel_power_basis": {level: 1 for level in levels},
-        "generator_set": {level: 1 for level in levels},
+        "centralizer_basis": {DECOMPOSE_DEGREE_CAP: 1},
+        "kernel_power_basis": {4: 1},
+        "generator_set": {level: 1 for level in range(1, 5)},
+        "module_span_check": {},
+        "derivation_span_equal": {},
     }
     assert all(item.ok for item in run_verification(4, 3))
     assert calls() == expected
@@ -67,3 +61,15 @@ def test_failed_construction_is_not_rebuilt(monkeypatch, tmp_path):
     assert commutation.detail.startswith("RegistryError: ")
     assert "not annihilated" in commutation.detail
     assert rank.detail == commutation.detail
+
+
+def test_decompose_item_runs_at_its_own_cap(monkeypatch):
+    # 3 x 35 unknowns of coefficient degree <= 4 exceed a cap of 100, the
+    # 3 x 20 of degree <= 3 and the 35 monomials of degree <= 4 do not
+    monkeypatch.setattr(oracle, "MONOMIAL_COUNT_CAP", 100)
+    items = {item.name: item for item in run_verification(3, 4)}
+    ladder = items["commuting-ladder-equivalence"]
+    assert not ladder.ok
+    assert ladder.detail.startswith("ResourceLimitError: 105 unknowns")
+    assert items["constants-decomposition-roundtrip"].ok
+    assert all(item.ok for name, item in items.items() if name != ladder.name)
