@@ -48,9 +48,21 @@ def _require_n(n: int) -> int:
     return n
 
 
-def _load_input(path: str) -> dict:
+def _load_input(path: str, decode: Callable[[dict], object]):
+    """decode(the JSON object in the file at path).
+
+    A top level that is not an object, or a value of the wrong shape
+    (a number where a list belongs), is an input error like a missing
+    key: it raises ValueError, not the TypeError of the decoder.
+    """
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("malformed input: the top level is not a JSON object")
+    try:
+        return decode(data)
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed input: {exc}") from exc
 
 
 def _config(args: argparse.Namespace) -> dict:
@@ -238,9 +250,9 @@ def cmd_centralizer(args) -> int:
 
 
 def cmd_bracket(args) -> int:
-    data = _load_input(args.input)
-    left = Derivation.from_json(data["left"])
-    right = Derivation.from_json(data["right"])
+    left, right = _load_input(args.input, lambda data: (
+        Derivation.from_json(data["left"]), Derivation.from_json(data["right"])
+    ))
     br = left.bracket(right)
     result = {
         "left": left,
@@ -252,9 +264,9 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    data = _load_input(args.input)
-    T = Derivation.from_json(data["derivation"])
-    a = matrix_from_json(data["matrix"])
+    T, a = _load_input(args.input, lambda data: (
+        Derivation.from_json(data["derivation"]), matrix_from_json(data["matrix"])
+    ))
     dec = decompose_over_constants(T, a)
     verified = verify_decomposition(dec, linear_derivation(a))
     result = {
@@ -275,8 +287,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    data = _load_input(args.input)
-    derivs = [Derivation.from_json(d) for d in data["derivations"]]
+    derivs = _load_input(args.input, lambda data: [
+        Derivation.from_json(d) for d in data["derivations"]
+    ])
     result = rank_over_fractions(derivs, seed=args.seed)
     payload = {"certificate": result, "rank": result.rank}
     _emit(args, "rank", payload,
@@ -335,7 +348,7 @@ def cmd_oracle_thm2(args) -> int:
     run = VerificationRun(n, args.deg, registry_entry(n, args.registry).generators)
     checks = []
     for i in range(1, n + 1):
-        _, target, res = run.span_check(i)
+        target, res = run.span_check(i)
         checks.append({"i": i, "ok": res.ok, "dimension": target.dimension(),
                        "certificate": res.certificate})
     all_ok = all(c["ok"] for c in checks)

@@ -8,27 +8,31 @@ symbolic fraction-free fallback.  These routines are deliberately
 elementary so they can serve as ground truth for the generator
 constructions.
 
-Span and centralizer equalities can also be certified by counting: the
-rank mod MODULUS of elements known to lie in a space bounds its
-dimension from below, and the corank mod MODULUS of the linear system
-that defines the space bounds it from above.
+Each check is a linear map on finitely many keys (the monomials of one
+degree, or the unit derivations x^m d_i of one coefficient degree),
+assembled one way: `_sparse_rows` turns the sparse images of the keys
+into the rows `linalg` eliminates.  It is read exactly, as the null
+space over Q (`_null_combinations`), or by counting, as the corank mod
+MODULUS (`_corank`), an upper bound on that null space's dimension.  A
+rank mod MODULUS of elements known to lie in the space is a lower bound;
+when the two meet, the space is certified without solving over Q.
+
+The images under D^i come from one chain, each level from the one
+before.  On a degree block of N monomials Ker D^i stops growing once i
+reaches N (Fitting's lemma), so the chain applies at most N powers.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from math import comb
+from typing import Iterator, Sequence
 
 from . import linalg
 from .derivation import Derivation
 from .errors import PreconditionError, ResourceLimitError
-from .poly import (
-    Exponent,
-    Poly,
-    grlex_key,
-    monomials_of_degree,
-)
+from .poly import Exponent, Poly, monomials_of_degree
 from .weitzenboeck import GeneratorSet, weitzenboeck_derivation
 
 MONOMIAL_COUNT_CAP = 20_000
@@ -55,19 +59,15 @@ def _check_linear(D: Derivation) -> None:
             )
 
 
-def _monomial_count(nvars: int, degree: int) -> int:
-    from math import comb
-
-    return comb(nvars + degree, degree)
-
-
-def _guard_monomial_count(nvars: int, degree: int) -> None:
-    count = _monomial_count(nvars, degree)
+def _guard(nvars: int, degree: int, coefficients: int | None = None) -> None:
+    """Refuse a system whose keys, the monomials of degree <= degree or for
+    derivations that many coefficients each, exceed MONOMIAL_COUNT_CAP."""
+    count = (coefficients or 1) * comb(nvars + degree, degree)
     if count > MONOMIAL_COUNT_CAP:
-        raise ResourceLimitError(
-            f"{count} monomials of degree <= {degree} in {nvars} variables "
-            f"exceed the cap {MONOMIAL_COUNT_CAP}"
-        )
+        keys = f"of degree <= {degree} in {nvars} variables"
+        what = (f"monomials {keys}" if coefficients is None
+                else f"unknowns ({coefficients} coefficients {keys})")
+        raise ResourceLimitError(f"{count} {what} exceed the cap {MONOMIAL_COUNT_CAP}")
 
 
 @dataclass(frozen=True)
@@ -98,35 +98,61 @@ def _sparse_rows(columns) -> list[linalg.SparseRow]:
     return list(rows.values())
 
 
-def _null_combinations(keys: Sequence, image) -> list[dict]:
+def _null_combinations(keys: Sequence, columns) -> list[dict]:
     """Null space of a linear map on the span of finitely many basis keys.
 
-    image(key) yields the (key, coefficient) terms of that key's image,
-    all within the same keys; the images are the sparse columns of the
-    system.  Each null vector comes back as {key: coefficient},
-    RREF-normalized against the order of keys.
+    columns[j] holds the (key, coefficient) terms of the image of keys[j].
+    Each null vector comes back as {key: coefficient}, RREF-normalized
+    against the order of keys.
     """
     return [
         {keys[j]: x for j, x in v.items()}
-        for v in linalg.nullspace(_sparse_rows(map(image, keys)), len(keys))
+        for v in linalg.nullspace(_sparse_rows(columns), len(keys))
     ]
 
 
-def _apply_power(D: Derivation, power: int, p: Poly) -> Poly:
-    for _ in range(power):
-        p = D(p)
-    return p
+def _corank(keys: Sequence, columns) -> int | None:
+    """The counting twin of _null_combinations.
+
+    The number of keys minus the rank mod MODULUS of the same system: an
+    upper bound on the dimension of its null space over Q, since a rank
+    mod p is at most the rank over Q.  None when MODULUS divides a
+    denominator of the system.
+    """
+    try:
+        return len(keys) - linalg.rank(_sparse_rows(columns), len(keys), MODULUS)
+    except ZeroDivisionError:
+        return None
+
+
+def _power_images(D: Derivation, power: int, polys: list[Poly],
+                  dimension: int) -> Iterator[list[Poly]]:
+    """[D^i(p) for p in polys] for i = 1..min(power, dimension), each level
+    computed from the one before.
+
+    dimension is that of a D-stable space holding the polys.  On it Ker D^i
+    stops growing once i reaches the dimension (Fitting's lemma), so the
+    last level has the kernel of D^power.
+    """
+    for _ in range(min(power, dimension)):
+        polys = [D(p) for p in polys]
+        yield polys
+
+
+def _power_image(D: Derivation, power: int, polys: list[Poly],
+                 dimension: int) -> list[Poly]:
+    """The last level of _power_images: it vanishes where D^power does."""
+    for polys in _power_images(D, power, polys, dimension):
+        pass
+    return polys
 
 
 def _kernel_block(D: Derivation, power: int, degree: int) -> list[Poly]:
     """Kernel of D^power on the homogeneous component of a fixed degree."""
     n = D.nvars
-
-    def image(m: Exponent):
-        return _apply_power(D, power, Poly(n, {m: 1})).iter_terms()
-
     monos = monomials_of_degree(n, degree)
-    return [Poly(n, v) for v in _null_combinations(monos, image)]
+    images = _power_image(D, power, [Poly(n, {m: 1}) for m in monos], len(monos))
+    return [Poly(n, v) for v in _null_combinations(monos, map(Poly.iter_terms, images))]
 
 
 def _check_kernel_args(D: Derivation, power: int, degree: int) -> None:
@@ -135,7 +161,7 @@ def _check_kernel_args(D: Derivation, power: int, degree: int) -> None:
     if degree < 0:
         raise PreconditionError("degree must be >= 0")
     _check_linear(D)
-    _guard_monomial_count(D.nvars, degree)
+    _guard(D.nvars, degree)
 
 
 def kernel_power_basis(D: Derivation, power: int, degree: int) -> GradedBasis:
@@ -158,34 +184,25 @@ def kernel_dimension_bounds(
 ) -> list[list[int]] | None:
     """bounds[i - 1][t] >= dim (Ker D^i)_t for i = 1..power, t = 0..degree.
 
-    Each is the number of degree-t monomials minus the rank mod MODULUS
-    of the system kernel_power_basis solves for D^i in that degree; a
-    rank mod p is at most the rank over Q.  The images of D^i come from
-    those of D^(i-1), one application of D each.  None when MODULUS
-    divides a denominator of D.
+    Each is the corank of the system kernel_power_basis solves for D^i in
+    that degree, read level after level off one chain of images.  Past
+    the number of degree-t monomials every level has the last one's
+    kernel (Fitting's lemma), so it repeats that bound.  None when
+    MODULUS divides a denominator of D.
     """
     _check_kernel_args(D, power, degree)
-    bounds: list[list[int]] = [[] for _ in range(power)]
+    per_degree: list[list[int]] = []  # the bounds of levels 1..min(power, N)
     for t in range(degree + 1):
         monos = monomials_of_degree(D.nvars, t)
-        images = [Poly(D.nvars, {m: 1}) for m in monos]
-        for row in bounds:
-            images = [D(p) for p in images]
-            rows = _sparse_rows(p.iter_terms() for p in images)
-            try:
-                row.append(len(monos) - linalg.rank(rows, len(monos), MODULUS))
-            except ZeroDivisionError:
-                return None
-    return bounds
-
-
-def _product(nvars: int, gens: Sequence[Poly], evec: Sequence[int]) -> Poly:
-    """The product of gens[g] ** evec[g]."""
-    p = Poly.constant(nvars, 1)
-    for g, e in zip(gens, evec):
-        if e:
-            p = p * g**e
-    return p
+        units = [Poly(D.nvars, {m: 1}) for m in monos]
+        coranks = [
+            _corank(monos, map(Poly.iter_terms, images))
+            for images in _power_images(D, power, units, len(monos))
+        ]
+        if None in coranks:
+            return None
+        per_degree.append(coranks)
+    return [[c[min(i, len(c)) - 1] for c in per_degree] for i in range(1, power + 1)]
 
 
 def _multiplier_exponents(
@@ -227,14 +244,17 @@ def _span_products(
     if not kernel_gens and not elements:
         raise PreconditionError("empty generating data")
     nvars = (elements[0] if elements else kernel_gens[0]).nvars
-    _guard_monomial_count(nvars, degree)
+    _guard(nvars, degree)
     gen_degrees = [g.total_degree() for g in kernel_gens]
     if any(d < 1 for d in gen_degrees):
         raise PreconditionError("kernel generators must be nonconstant")
 
     multipliers: list[tuple[tuple[int, ...], Poly, int]] = []
     for evec in _multiplier_exponents(gen_degrees, degree):
-        p = _product(nvars, kernel_gens, evec)
+        p = Poly.constant(nvars, 1)
+        for g, e in zip(kernel_gens, evec):
+            if e:
+                p = p * g**e
         multipliers.append((evec, p, p.total_degree()))
 
     spanning: list[tuple[int, tuple[int, ...], Poly]] = []
@@ -273,22 +293,21 @@ def certified_span_dimension(
     nvars, elements, spanning = _span_products(S, kernel_gens, len(bounds) - 1)
     if not all(g.is_homogeneous() and not D(g) for g in kernel_gens):
         return None
-    if not all(s.is_homogeneous() and not _apply_power(D, power, s)
-               for s in elements):
+    if not all(s.is_homogeneous() for s in elements):
+        return None
+    # the elements lie in the D-stable space of the polynomials of degree <= top
+    top = max((s.total_degree() for s in elements), default=0)
+    if any(_power_image(D, power, elements, comb(nvars + top, top))):
         return None
     by_degree: dict[int, list[Poly]] = {}
     for _, _, p in spanning:
         by_degree.setdefault(p.total_degree(), []).append(p)
     for t, bound in enumerate(bounds):
         products = by_degree.get(t, [])
-        if len(products) < bound:
-            return None
-        col = {m: j for j, m in enumerate(monomials_of_degree(nvars, t))}
-        rows = [{col[exp]: c for exp, c in p.iter_terms()} for p in products]
-        try:
-            if linalg.rank(rows, len(col), MODULUS) != bound:
-                return None
-        except ZeroDivisionError:
+        # rank_p(products) is their number minus the corank of their relations
+        if len(products) < bound or (
+            _corank(products, map(Poly.iter_terms, products)) != len(products) - bound
+        ):
             return None
     return sum(bounds)
 
@@ -306,23 +325,17 @@ def module_span_check(
     the certificate lists one witness combination per target vector; on
     failure it reports the first vector outside the span.
     """
-    nvars, _, spanning = _span_products(S, kernel_gens, degree)
+    _, _, spanning = _span_products(S, kernel_gens, degree)
 
-    # One solve over every monomial up to the cap.  A pivot updates only
-    # the rows (monomials) where its column is nonzero, so homogeneous
-    # data is still eliminated one degree block at a time.
-    monos: list[Exponent] = []
-    for t in range(degree + 1):
-        monos.extend(monomials_of_degree(nvars, t))
-    col = {m: j for j, m in enumerate(monos)}
-
-    def flatten(p: Poly) -> linalg.SparseRow:
-        return {col[exp]: c for exp, c in p.iter_terms()}
-
-    solutions = linalg.solve_many(
-        [flatten(p) for _, _, p in spanning],
-        [flatten(v) for v in target.vectors],
-    )
+    # One solve: the products are the unknowns' columns and the target
+    # vectors ride along.  linalg.solve_many takes columns, so the rows of
+    # the one assembly are read back column by column.
+    polys = [p for _, _, p in spanning] + list(target.vectors)
+    columns: list[linalg.SparseRow] = [{} for _ in polys]
+    for i, row in enumerate(_sparse_rows(map(Poly.iter_terms, polys))):
+        for j, c in row.items():
+            columns[j][i] = c
+    solutions = linalg.solve_many(columns[: len(spanning)], columns[len(spanning):])
     witnesses = []
     for t_idx, (v, sol) in enumerate(zip(target.vectors, solutions)):
         if sol is None:
@@ -354,14 +367,8 @@ def _commutator_system(D: Derivation, degree: int):
     if degree < 0:
         raise PreconditionError("degree must be >= 0")
     n = D.nvars
-    # the unknowns are the (coefficient index, monomial) keys; each
-    # degree's system is sparse, but its elimination scans every key
-    unknowns = n * _monomial_count(n, degree)
-    if unknowns > MONOMIAL_COUNT_CAP:
-        raise ResourceLimitError(
-            f"{unknowns} unknowns ({n} coefficients of degree <= {degree} "
-            f"in {n} variables) exceed the cap {MONOMIAL_COUNT_CAP}"
-        )
+    # each degree's system is sparse, but its elimination scans every key
+    _guard(n, degree, n)
     units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     a = [[(k, c) for k in range(n) if (c := D.coeffs[k].coefficient(units[i]))]
          for i in range(n)]
@@ -397,7 +404,7 @@ def centralizer_basis(D: Derivation, degree: int) -> list[Derivation]:
     n = D.nvars
     out: list[Derivation] = []
     for keys in blocks:
-        for v in _null_combinations(keys, image):
+        for v in _null_combinations(keys, map(image, keys)):
             coeffs = [{} for _ in range(n)]
             for (i, m), c in v.items():
                 coeffs[i][m] = c
@@ -408,43 +415,33 @@ def centralizer_basis(D: Derivation, degree: int) -> list[Derivation]:
 def centralizer_dimension_bound(D: Derivation, degree: int) -> int | None:
     """An upper bound on the dimension centralizer_basis enumerates.
 
-    The number of unknowns minus the rank mod MODULUS of the [., D]
-    system, summed over the coefficient degrees; None when MODULUS
-    divides a denominator of D.
+    The corank of the [., D] system, summed over the coefficient degrees;
+    None when MODULUS divides a denominator of D.
     """
     image, blocks = _commutator_system(D, degree)
-    try:
-        return sum(
-            len(keys) - linalg.rank(_sparse_rows(map(image, keys)), len(keys), MODULUS)
-            for keys in blocks
-        )
-    except ZeroDivisionError:
-        return None
+    coranks = [_corank(keys, map(image, keys)) for keys in blocks]
+    return None if None in coranks else sum(coranks)
 
 
 def derivation_span_equal(
     first: Sequence[Derivation], second: Sequence[Derivation]
 ) -> bool:
-    """Do two finite sets of derivations span the same rational subspace?"""
-    if not first and not second:
-        return True
-    n = (first[0] if first else second[0]).nvars
-    support: set[tuple[int, Exponent]] = set()
-    for T in list(first) + list(second):
-        if T.nvars != n:
-            raise PreconditionError("derivations live in different rings")
-        for i, c in enumerate(T.coeffs):
-            support.update((i, exp) for exp, _ in c.iter_terms())
-    coords = sorted(support, key=lambda im: (im[0], grlex_key(im[1])))
-    index = {im: k for k, im in enumerate(coords)}
+    """Do two finite sets of derivations span the same rational subspace?
 
-    def flatten(T: Derivation) -> linalg.SparseRow:
-        return {index[(i, exp)]: coeff
-                for i, c in enumerate(T.coeffs) for exp, coeff in c.iter_terms()}
+    They do when each has the rank of their union.
+    """
+    both = [*first, *second]
+    if any(T.nvars != both[0].nvars for T in both):
+        raise PreconditionError("derivations live in different rings")
 
-    rows_a = [flatten(T) for T in first]
-    rows_b = [flatten(T) for T in second]
-    return linalg.rref(rows_a, len(coords))[0] == linalg.rref(rows_b, len(coords))[0]
+    def rank(Ts: Sequence[Derivation]) -> int:
+        columns = (
+            [((i, exp), c) for i, p in enumerate(T.coeffs) for exp, c in p.iter_terms()]
+            for T in Ts
+        )
+        return linalg.rank(_sparse_rows(columns), len(Ts))
+
+    return rank(first) == rank(both) == rank(second)
 
 
 @dataclass(frozen=True)
@@ -536,17 +533,14 @@ def kernel_generator_candidates(n: int, degree: int) -> list[Poly]:
             f"degree {degree} exceeds the candidate-search cap {cap} for n={n}"
         )
     D = weitzenboeck_derivation(n)
+    one = Poly.constant(n, 1)
     candidates: list[Poly] = []
     for t in range(1, degree + 1):
-        gen_degrees = [g.total_degree() for g in candidates]
-        columns = [
-            _product(n, candidates, evec)
-            for evec in _multiplier_exponents(gen_degrees, t)
-            if sum(e * d for e, d in zip(evec, gen_degrees)) == t
-        ]
+        _, _, spanning = _span_products([one], candidates, t)
+        columns = [p for _, _, p in spanning if p.total_degree() == t]
         products = len(columns)
         columns += _kernel_block(D, 1, t)
-        rows = _sparse_rows(p.iter_terms() for p in columns)
+        rows = _sparse_rows(map(Poly.iter_terms, columns))
         _, pivots = linalg.rref(rows, len(columns))
         candidates += [columns[j] for j in pivots if j >= products]
     return candidates

@@ -68,7 +68,7 @@ def load_registry(path: str | Path | None = None) -> dict[int, KernelEntry]:
     try:
         raw = json.loads(text)
         registry = {int(k): KernelEntry.from_json(v) for k, v in raw.items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise RegistryError(f"malformed kernel registry: {exc}") from exc
     for n, entry in registry.items():
         if entry.n != n or any(g.nvars != n for g in entry.generators):

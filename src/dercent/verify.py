@@ -120,10 +120,10 @@ class VerificationRun:
         )
 
     def span_check(self, level: int):
-        """(generating set, kernel basis, SpanCheckResult) of D^level."""
+        """(kernel basis, SpanCheckResult) of D^level."""
         S = self.generator_set(level)
         target = self.kernel(level)
-        return S, target, module_span_check(S, self.kernel_gens, target, self.degree)
+        return target, module_span_check(S, self.kernel_gens, target, self.degree)
 
     def kernel_bounds(self) -> list[list[int]] | None:
         """Upper bounds on dim (Ker D^i)_t for every level i and degree t."""
@@ -142,7 +142,7 @@ class VerificationRun:
             )
             if dimension is not None:
                 return S, dimension, None
-        _, target, result = self.span_check(level)
+        target, result = self.span_check(level)
         return S, target.dimension(), None if result.ok else result.certificate
 
     def ladder_check(self) -> tuple[bool, int, int]:

@@ -11,7 +11,7 @@ from dercent.derivation import Derivation
 from dercent.errors import InternalInconsistencyError
 from dercent.linalg import nullspace
 from dercent.linearder import linear_derivation, matrix_commutant
-from dercent.poly import Poly, monomials_of_degree, poly_divexact
+from dercent.poly import Poly, grlex_key, monomials_of_degree, poly_divexact
 from dercent.ratfunc import RatFunc
 from dercent.registry import KernelEntry, load_registry, registry_to_json
 from dercent.weitzenboeck import monomial_weight
@@ -200,6 +200,26 @@ def reference_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
         return [], []
     pivots = reference_eliminate(m, len(m[0]))
     return m[: len(pivots)], pivots
+
+
+def reference_derivation_span_equal(first, second) -> bool:
+    """Do two sets of derivations span the same rational subspace?
+
+    The comparison `oracle.derivation_span_equal` made before it counted
+    ranks: both sets as dense rows over one sorted list of (coefficient
+    index, monomial) coordinates, and equal reduced row-echelon forms.
+    """
+    everything = [*first, *second]
+    coords = sorted(
+        {(i, exp) for T in everything for i, c in enumerate(T.coeffs)
+         for exp, _ in c.iter_terms()},
+        key=lambda im: (im[0], grlex_key(im[1])),
+    )
+
+    def rows(Ts):
+        return [[T.coeffs[i].coefficient(exp) for i, exp in coords] for T in Ts]
+
+    return reference_rref(rows(first))[0] == reference_rref(rows(second))[0]
 
 
 def reference_nullspace(rows, ncols: int) -> list[list[Fraction]]:

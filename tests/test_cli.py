@@ -247,6 +247,17 @@ class TestInputCommands:
                          "right": {"nvars": 2.0, "coeffs": [Poly.zero(2).to_json()] * 2}}),
             ("decompose", {"derivation": Derivation.zero(3).to_json(),
                            "matrix": {**matrix_to_json(jordan_nilpotent(3)), "n": 3.0}}),
+            # so is a value of the wrong JSON type, or a top level that is
+            # not an object: malformed input, not a failed verification
+            ("bracket", {"left": {"nvars": 1, "coeffs": 5},
+                         "right": Derivation.zero(1).to_json()}),
+            ("bracket", [Derivation.zero(1).to_json()]),
+            ("decompose", "derivation"),
+            ("rank", [1, 2]),
+            ("rank", {"derivations": [{"nvars": 1, "coeffs": [
+                {"nvars": 1, "terms": [{"coeff": "1", "exp": 7}]}]}]}),
+            ("decompose", {"derivation": Derivation.zero(1).to_json(),
+                           "matrix": {"n": 1, "entries": [5]}}),
         ],
     )
     def test_inexact_or_zero_denominator_is_input_error(
@@ -357,6 +368,20 @@ class TestVerifyCommand:
         assert code == 3
         assert out == ""
         assert "degree must be >= 0" in err
+
+    @pytest.mark.parametrize("document", [[], "3", 3])
+    @pytest.mark.parametrize(
+        "command", [("gens", "--n", "3"), ("verify", "--n", "3", "--deg", "2")]
+    )
+    def test_registry_that_is_not_an_object_is_input_error(
+        self, capsys, tmp_path, command, document
+    ):
+        path = tmp_path / "registry.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, *command, "--registry", str(path))
+        assert code == 2
+        assert out == ""
+        assert "input error: malformed kernel registry" in err
 
     @pytest.mark.parametrize("mismatch", ["entry", "generators"])
     @pytest.mark.parametrize(
@@ -664,6 +689,18 @@ class TestOracleCommands:
         )
         assert data["result"]["dimension"] == 4
         assert "certificate" in data["result"]
+
+    def test_kernel_power_beyond_the_block_size(self, capsys):
+        # the largest block, degree 2 in 3 variables, has 6 monomials, so
+        # Ker D^i stops growing at i = 6 (Fitting's lemma): a power of a
+        # million gives the same report, and without applying D a million times
+        def result(power):
+            data = payload(capsys, "oracle", "kernel", "--n", "3",
+                           "--power", str(power), "--deg", "2")
+            assert data["config"].pop("power") == data["result"].pop("power") == power
+            return data
+
+        assert result(10**6) == result(6)
 
     def test_verify_thm2(self, capsys):
         data = payload(capsys, "oracle", "verify-thm2", "--n", "3", "--deg", "3")

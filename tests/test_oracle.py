@@ -38,6 +38,7 @@ from dercent.weitzenboeck import (
 from support import (
     random_nonzero_poly,
     reference_centralizer_basis,
+    reference_derivation_span_equal,
     reference_symbolic_rank,
     sl2_kernel_dimension,
 )
@@ -46,6 +47,10 @@ x1, x2, x3 = Poly.variables(3)
 a1 = x1
 a2 = x1 * x3 - Fraction(1, 2) * x2**2
 D3 = weitzenboeck_derivation(3)
+
+# Jordan type (3, 2): x1*d2 + x2*d3 + x4*d5, two nilpotent blocks
+y1, y2, _, y4, _ = Poly.variables(5)
+J32 = Derivation((Poly.zero(5), y1, y2, Poly.zero(5), y4))
 
 
 def flatten_polys(polys, nvars, degree):
@@ -115,6 +120,41 @@ class TestKernelPowerBasis:
     def test_monomial_count_guard(self):
         with pytest.raises(ResourceLimitError):
             kernel_power_basis(weitzenboeck_derivation(6), 1, 40)
+
+    def test_power_beyond_the_block_size(self, monkeypatch):
+        # the degree-2 block in 3 variables has 6 monomials, so Ker D^i
+        # stops growing at i = 6 (Fitting's lemma), and no more powers of
+        # D are applied for a larger power
+        applied = []
+        inner = Derivation.__call__
+        monkeypatch.setattr(
+            Derivation, "__call__", lambda D, p: applied.append(1) or inner(D, p)
+        )
+        at_six = kernel_power_basis(D3, 6, 2)
+        calls = len(applied)
+        assert kernel_power_basis(D3, 10**6, 2) == at_six
+        assert len(applied) == 2 * calls
+
+    @pytest.mark.parametrize("matrix", [
+        # diagonal, not nilpotent: Ker D^i = Ker D for every i
+        [[1, 0, 0], [0, 0, 0], [0, 0, -1]],
+        # a nilpotent block next to the eigenvalue 2: Ker D^i grows up to
+        # i = 4 on degree 3
+        [[0, 0, 0], [1, 0, 0], [0, 0, 2]],
+    ])
+    def test_power_beyond_the_block_size_not_nilpotent(self, matrix):
+        # the degree-3 block in 3 variables has 10 monomials
+        D = linear_derivation(matrix)
+        assert kernel_power_basis(D, 10**6, 3) == kernel_power_basis(D, 10, 3)
+
+    def test_diagonal_kernel_does_not_grow(self):
+        D = linear_derivation([[1, 0, 0], [0, 0, 0], [0, 0, -1]])
+        assert kernel_power_basis(D, 10**6, 3) == kernel_power_basis(D, 1, 3)
+
+    def test_bounds_repeat_past_the_block_size(self):
+        bounds = kernel_dimension_bounds(D3, 40, 2)
+        assert bounds[5:] == [bounds[5]] * 35
+        assert bounds[39] == [sl2_kernel_dimension(3, 40, t) for t in range(3)]
 
 
 class TestModuleSpanCheck:
@@ -271,6 +311,19 @@ class TestCountingBounds:
             assert centralizer_dimension_bound(D, d) == expected
             assert kernel_power_basis(D, n, d).dimension() == expected
 
+    def test_two_jordan_blocks(self):
+        # Jordan type (3, 2): counting and the exact readings agree
+        for d, dimension in ((1, 11), (2, 32), (3, 73)):
+            assert centralizer_dimension_bound(J32, d) == dimension
+            assert len(centralizer_basis(J32, d)) == dimension
+        exact = [
+            [sum(v.total_degree() == t for v in kernel_power_basis(J32, i, 3).vectors)
+             for t in range(4)]
+            for i in (1, 2, 3)
+        ]
+        assert exact == [[1, 2, 5, 9], [1, 4, 9, 17], [1, 5, 12, 24]]
+        assert kernel_dimension_bounds(J32, 3, 3) == exact
+
     @staticmethod
     def bounds(power, degree):
         return kernel_dimension_bounds(D3, power, degree)[power - 1]
@@ -333,6 +386,27 @@ class TestDerivationSpanEqual:
 
     def test_empty(self):
         assert derivation_span_equal([], [])
+        assert not derivation_span_equal([], [D3])
+
+    def test_different_rings_rejected(self):
+        with pytest.raises(PreconditionError):
+            derivation_span_equal([D3], [J32])
+
+    @given(st.data())
+    def test_matches_the_rref_reference(self, data):
+        derivations = st.lists(affine_polys, min_size=3, max_size=3).map(
+            lambda coeffs: Derivation(tuple(coeffs))
+        )
+        first = data.draw(st.lists(derivations, max_size=4))
+        # combinations of the first set, sometimes with another derivation
+        coefficients = st.integers(-2, 2)
+        second = [
+            sum((T * data.draw(coefficients) for T in first), Derivation.zero(3))
+            for _ in range(data.draw(st.integers(0, 4)))
+        ] + data.draw(st.lists(derivations, max_size=1))
+        assert derivation_span_equal(first, second) == (
+            reference_derivation_span_equal(first, second)
+        )
 
 
 exponents = st.tuples(*[st.integers(0, 1)] * 3).filter(lambda e: sum(e) <= 1)
