@@ -185,16 +185,18 @@ def _peel_jordan_block(T: Derivation) -> tuple[CommutantBasis, tuple[RatFunc, ..
     coefficients is verified by the caller.
     """
     n = T.nvars
-    x1 = Poly.variable(n, 0)
     xs = Poly.variables(n)
+    x1_powers = [Poly.constant(n, 1)]  # x1**0 .. x1**n, each built once
+    for _ in range(n):
+        x1_powers.append(x1_powers[-1] * xs[0])
     nums: list[Poly] = []
     phis: list[RatFunc] = []
     for i in range(n):
-        p = T.coeffs[i] * x1**i
+        p = T.coeffs[i] * x1_powers[i]
         for k in range(i):
-            p = p - nums[k] * xs[i - k] * x1 ** (i - 1 - k)
+            p = p - nums[k] * xs[i - k] * x1_powers[i - 1 - k]
         nums.append(p)
-        phis.append(RatFunc(p, x1 ** (i + 1)))
+        phis.append(RatFunc(p, x1_powers[i + 1]))
     return CommutantBasis(tuple(shift_powers(n))), tuple(phis)
 
 
@@ -249,7 +251,9 @@ def verify_decomposition(dec: FDecomposition, D: Derivation) -> bool:
     with P_j the primitive part of its denominator, and with Q the
     product of the distinct P_j, Q*g_i must equal
     sum_j num_j * (Q/P_j) * (B_j x)_i.  Coefficients from one elimination
-    share their denominator up to a scalar, so it enters Q once.
+    share their denominator up to a scalar, so it enters Q once.  Each
+    num_j * (Q/P_j) is formed once for all i, and a zero coefficient
+    adds nothing.
     """
     n = dec.derivation.nvars
     if len(dec.coefficients) != len(dec.basis.matrices):
@@ -269,12 +273,17 @@ def verify_decomposition(dec: FDecomposition, D: Derivation) -> bool:
     dens = list(dict.fromkeys(prims))
     common = prod(dens, start=one)
     cofactors = {d: prod((e for e in dens if e is not d), start=one) for d in dens}
-    basis_derivs = [linear_derivation(b) for b in dec.basis.matrices]
+    terms = [
+        (num * cofactors[prim], linear_derivation(b))
+        for num, prim, b in zip(nums, prims, dec.basis.matrices)
+        if num
+    ]
     for i in range(n):
         lhs = dec.derivation.coeffs[i] * common
         rhs = Poly.zero(n)
-        for num, prim, bd in zip(nums, prims, basis_derivs):
-            rhs = rhs + num * cofactors[prim] * bd.coeffs[i]
+        for scaled, bd in terms:
+            if bd.coeffs[i]:
+                rhs = rhs + scaled * bd.coeffs[i]
         if lhs != rhs:
             return False
     return True

@@ -17,17 +17,34 @@ MODULUS (`_corank`), an upper bound on that null space's dimension.  A
 rank mod MODULUS of elements known to lie in the space is a lower bound;
 when the two meet, the space is certified without solving over Q.
 
-The images under D^i come from one chain, each level from the one
-before.  On a degree block of N monomials Ker D^i stops growing once i
-reaches N (Fitting's lemma), so the chain applies at most N powers.
+Both readings eliminate block by block: `_blocks` splits the rows into
+the connected components of their row/column incidence, which share no
+key and no row.  The corank is the sum over the blocks, and the null
+space is the union of the blocks' null spaces, ordered by leading key,
+which is the RREF basis of the whole system.  For the basic
+Weitzenboeck derivation the blocks refine the (degree, weight) grading,
+since D and [., D] raise the weight by 2, but the split needs no weight
+and works for any linear D.
+
+The images under D^i come from one chain per derivation, `PowerChain`:
+each level of a degree block is computed from the one before, and the
+first and the deepest level reached are kept, so the counting bounds,
+the exact kernel bases and (its first level) the [., D] systems of one
+verification run all read the same images.  On a degree block of N
+monomials Ker D^i stops growing once i reaches N (Fitting's lemma), so
+the chain applies at most N powers, and it stops at a level that is
+zero.  Likewise `SpanProducts` builds the products c*s of the span
+checks once per element for all levels.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import repeat
 from math import comb
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import linalg
 from .derivation import Derivation
@@ -98,61 +115,146 @@ def _sparse_rows(columns) -> list[linalg.SparseRow]:
     return list(rows.values())
 
 
+def _blocks(rows: list[linalg.SparseRow]) -> list[tuple[list[int], list[linalg.SparseRow]]]:
+    """The independent blocks of a system: the connected components of the
+    incidence of its (nonempty) rows and their columns.
+
+    Each block comes as (its columns in ascending order, its rows with the
+    columns renumbered by their place in that list).  Rows keep their
+    order, and no row or column is in two blocks, so eliminating the
+    blocks one by one gives the rank and the reduced rows of the whole.
+    Columns that occur in no row are in no block.
+    """
+    parent: dict[int, int] = {}
+
+    def find(j: int) -> int:
+        root = parent.setdefault(j, j)
+        while root != j:
+            parent[j] = j = parent[root]  # path halving
+            root = parent[j]
+        return j
+
+    for row in rows:
+        columns = iter(row)
+        first = find(next(columns))
+        for j in columns:
+            root = find(j)
+            if root != first:
+                parent[root] = first
+    grouped: dict[int, list[linalg.SparseRow]] = {}
+    for row in rows:
+        grouped.setdefault(find(next(iter(row))), []).append(row)
+    out = []
+    for block in grouped.values():
+        columns = sorted({j for row in block for j in row})
+        place = {j: k for k, j in enumerate(columns)}
+        out.append((columns, [{place[j]: x for j, x in row.items()} for row in block]))
+    return out
+
+
 def _null_combinations(keys: Sequence, columns) -> list[dict]:
     """Null space of a linear map on the span of finitely many basis keys.
 
     columns[j] holds the (key, coefficient) terms of the image of keys[j].
     Each null vector comes back as {key: coefficient}, RREF-normalized
-    against the order of keys.
+    against the order of keys.  The null space is that of each block,
+    plus a unit vector for every key whose image is zero; ordered by
+    leading key, these are the RREF basis of the whole null space.
     """
-    return [
-        {keys[j]: x for j, x in v.items()}
-        for v in linalg.nullspace(_sparse_rows(columns), len(keys))
-    ]
+    vectors: list[linalg.SparseRow] = []
+    free = set(range(len(keys)))
+    for block_columns, rows in _blocks(_sparse_rows(columns)):
+        free.difference_update(block_columns)
+        vectors += [
+            {block_columns[j]: x for j, x in v.items()}
+            for v in linalg.nullspace(rows, len(block_columns))
+        ]
+    vectors += [{j: Fraction(1)} for j in free]
+    vectors.sort(key=min)  # the leading key of an RREF row is its pivot
+    return [{keys[j]: x for j, x in v.items()} for v in vectors]
 
 
 def _corank(keys: Sequence, columns) -> int | None:
     """The counting twin of _null_combinations.
 
-    The number of keys minus the rank mod MODULUS of the same system: an
-    upper bound on the dimension of its null space over Q, since a rank
-    mod p is at most the rank over Q.  None when MODULUS divides a
-    denominator of the system.
+    The number of keys minus the rank mod MODULUS of the same system,
+    summed over its blocks: an upper bound on the dimension of its null
+    space over Q, since a rank mod p is at most the rank over Q.  None
+    when MODULUS divides a denominator of the system.
     """
     try:
-        return len(keys) - linalg.rank(_sparse_rows(columns), len(keys), MODULUS)
+        return len(keys) - sum(
+            linalg.rank(rows, len(block_columns), MODULUS)
+            for block_columns, rows in _blocks(_sparse_rows(columns))
+        )
     except ZeroDivisionError:
         return None
 
 
-def _power_images(D: Derivation, power: int, polys: list[Poly],
-                  dimension: int) -> Iterator[list[Poly]]:
-    """[D^i(p) for p in polys] for i = 1..min(power, dimension), each level
-    computed from the one before.
+class PowerChain:
+    """The images D^i(x^m) of the unit monomials, one degree block at a time.
 
-    dimension is that of a D-stable space holding the polys.  On it Ker D^i
-    stops growing once i reaches the dimension (Fitting's lemma), so the
-    last level has the kernel of D^power.
+    Each level of a block is computed from the one before, and every
+    reading of the same D shares them: the counting bounds and the exact
+    kernels of its powers, and (the first level) the [., D] systems.  A
+    block keeps its first level and the deepest level reached, so a walk
+    up the levels computes each level once and two levels are held; a
+    level below the deepest is computed again from the first.  A block of
+    N monomials stops at level N, because on it Ker D^i stops growing
+    once i reaches N (Fitting's lemma), and it stops at a zero level,
+    past which every level is zero.  So the level where it stops has the
+    kernel of every higher power.
     """
-    for _ in range(min(power, dimension)):
-        polys = [D(p) for p in polys]
-        yield polys
+
+    def __init__(self, D: Derivation):
+        _check_linear(D)
+        self.D = D
+        # degree -> (its monomials, the images D(x^m))
+        self._blocks: dict[int, tuple[list[Exponent], list[Poly]]] = {}
+        # degree -> (the deepest level reached, its images)
+        self._deepest: dict[int, tuple[int, list[Poly]]] = {}
+
+    def _block(self, degree: int) -> tuple[list[Exponent], list[Poly]]:
+        block = self._blocks.get(degree)
+        if block is None:
+            n = self.D.nvars
+            monos = monomials_of_degree(n, degree)
+            block = self._blocks[degree] = (monos, [self.D(Poly(n, {m: 1})) for m in monos])
+            self._deepest[degree] = (1, block[1])
+        return block
+
+    def monomials(self, degree: int) -> list[Exponent]:
+        """The monomials of the degree, in the order of monomials_of_degree."""
+        return self._block(degree)[0]
+
+    def level(self, degree: int, power: int) -> list[Poly]:
+        """[D^power(x^m) for the monomials x^m of the degree], or the level
+        where the block's chain stops if power is past it."""
+        monos, first = self._block(degree)
+        power = min(power, len(monos))
+        deepest = self._deepest[degree]
+        i, images = deepest if deepest[0] <= power else (1, first)
+        while i < power and any(images):
+            images = [self.D(p) for p in images]
+            i += 1
+        if i > deepest[0]:
+            self._deepest[degree] = (i, images)
+        return images
 
 
-def _power_image(D: Derivation, power: int, polys: list[Poly],
-                 dimension: int) -> list[Poly]:
-    """The last level of _power_images: it vanishes where D^power does."""
-    for polys in _power_images(D, power, polys, dimension):
-        pass
-    return polys
+def _chain_for(D: Derivation, chain: PowerChain | None) -> PowerChain:
+    if chain is None:
+        return PowerChain(D)
+    if chain.D != D:
+        raise PreconditionError("the power chain belongs to another derivation")
+    return chain
 
 
-def _kernel_block(D: Derivation, power: int, degree: int) -> list[Poly]:
+def _kernel_block(chain: PowerChain, power: int, degree: int) -> list[Poly]:
     """Kernel of D^power on the homogeneous component of a fixed degree."""
-    n = D.nvars
-    monos = monomials_of_degree(n, degree)
-    images = _power_image(D, power, [Poly(n, {m: 1}) for m in monos], len(monos))
-    return [Poly(n, v) for v in _null_combinations(monos, map(Poly.iter_terms, images))]
+    images = chain.level(degree, power)
+    null = _null_combinations(chain.monomials(degree), map(Poly.iter_terms, images))
+    return [Poly(chain.D.nvars, v) for v in null]
 
 
 def _check_kernel_args(D: Derivation, power: int, degree: int) -> None:
@@ -164,45 +266,55 @@ def _check_kernel_args(D: Derivation, power: int, degree: int) -> None:
     _guard(D.nvars, degree)
 
 
-def kernel_power_basis(D: Derivation, power: int, degree: int) -> GradedBasis:
+def kernel_power_basis(
+    D: Derivation, power: int, degree: int, chain: PowerChain | None = None
+) -> GradedBasis:
     """Exact basis of {f : deg f <= degree, D^power(f) = 0}.
 
     Works one homogeneous degree at a time (a linear derivation maps a
     homogeneous polynomial to a homogeneous one of the same degree), so
     the output vectors are homogeneous, RREF-normalized against the
-    descending graded-lex monomial order, and sorted by degree.
+    descending graded-lex monomial order, and sorted by degree.  The
+    images come from the given chain of D, or from a new one.
     """
     _check_kernel_args(D, power, degree)
+    chain = _chain_for(D, chain)
     vectors: list[Poly] = []
     for t in range(degree + 1):
-        vectors.extend(_kernel_block(D, power, t))
+        vectors.extend(_kernel_block(chain, power, t))
     return GradedBasis(degree, tuple(vectors))
 
 
 def kernel_dimension_bounds(
-    D: Derivation, power: int, degree: int
+    D: Derivation, power: int, degree: int, chain: PowerChain | None = None
 ) -> list[list[int]] | None:
     """bounds[i - 1][t] >= dim (Ker D^i)_t for i = 1..power, t = 0..degree.
 
     Each is the corank of the system kernel_power_basis solves for D^i in
-    that degree, read level after level off one chain of images.  Past
-    the number of degree-t monomials every level has the last one's
-    kernel (Fitting's lemma), so it repeats that bound.  None when
-    MODULUS divides a denominator of D.
+    that degree, read level after level off the chain of D (the given one
+    or a new one).  Past the level where a block's chain stops every
+    level has its last one's kernel, so it repeats that bound, and every
+    level past the longest chain is the same list.  None when MODULUS
+    divides a denominator of D.
     """
     _check_kernel_args(D, power, degree)
-    per_degree: list[list[int]] = []  # the bounds of levels 1..min(power, N)
+    chain = _chain_for(D, chain)
+    per_degree: list[list[int]] = []  # the bounds of the levels each chain has
     for t in range(degree + 1):
-        monos = monomials_of_degree(D.nvars, t)
-        units = [Poly(D.nvars, {m: 1}) for m in monos]
-        coranks = [
-            _corank(monos, map(Poly.iter_terms, images))
-            for images in _power_images(D, power, units, len(monos))
-        ]
+        monos = chain.monomials(t)
+        coranks: list[int | None] = []
+        for i in range(1, min(power, len(monos)) + 1):
+            images = chain.level(t, i)
+            coranks.append(_corank(monos, map(Poly.iter_terms, images)))
+            if not any(images):
+                break
         if None in coranks:
             return None
         per_degree.append(coranks)
-    return [[c[min(i, len(c)) - 1] for c in per_degree] for i in range(1, power + 1)]
+    top = max(map(len, per_degree))
+    bounds = [[c[min(i, len(c)) - 1] for c in per_degree] for i in range(1, top + 1)]
+    bounds.extend(repeat(bounds[-1], power - top))
+    return bounds
 
 
 def _multiplier_exponents(
@@ -225,6 +337,83 @@ def _multiplier_exponents(
     return out
 
 
+def _multiplier_table(
+    nvars: int, kernel_gens: Sequence[Poly], degree: int
+) -> list[tuple[tuple[int, ...], Poly, int]]:
+    """(exponents e, c = the product of the g**e_g, deg c) for every product
+    c of the (nonconstant) kernel generators with deg c <= degree."""
+    table = []
+    for evec in _multiplier_exponents([g.total_degree() for g in kernel_gens], degree):
+        p = Poly.constant(nvars, 1)
+        for g, e in zip(kernel_gens, evec):
+            if e:
+                p = p * g**e
+        table.append((evec, p, p.total_degree()))
+    return table
+
+
+class SpanProducts:
+    """The products c*s of the span checks against one list of kernel
+    generators up to one degree cap, built once and shared.
+
+    c runs over the products of the kernel generators.  Their table is
+    built on first use, and the list of the products c*s of an element s
+    the first time a generating set has s; a set shares them with every
+    other set that has s (each level's set is in the next one's).  What a
+    count learns about a derivation D is kept too: whether it kills every
+    generator, and how far the chain D(s), D^2(s), ... of each element
+    has been followed.
+    """
+
+    def __init__(self, kernel_gens: Sequence[Poly], degree: int):
+        self.kernel_gens = tuple(kernel_gens)
+        self.degree = degree
+        self._multipliers: list[tuple[tuple[int, ...], Poly, int]] | None = None
+        self._products: dict[Poly, list[tuple[tuple[int, ...], Poly]]] = {}
+        self._annihilated: dict[Derivation, bool] = {}
+        self._images: dict[tuple[Derivation, Poly], tuple[int, Poly]] = {}
+
+    def of(self, s: Poly) -> list[tuple[tuple[int, ...], Poly]]:
+        """(exponents of c, c*s) for every product with deg(c*s) <= degree."""
+        out = self._products.get(s)
+        if out is None:
+            if self._multipliers is None:
+                self._multipliers = _multiplier_table(s.nvars, self.kernel_gens, self.degree)
+            # over Q, deg(c*s) = deg c + deg s: skip products above the cap
+            budget = self.degree - s.total_degree()
+            out = self._products[s] = [
+                (evec, p) for evec, c, c_degree in self._multipliers
+                if c_degree <= budget and (p := c * s) and p.total_degree() <= self.degree
+            ]
+        return out
+
+    def annihilated(self, D: Derivation) -> bool:
+        """Is every kernel generator homogeneous with D(g) = 0?"""
+        ok = self._annihilated.get(D)
+        if ok is None:
+            ok = self._annihilated[D] = all(
+                g.is_homogeneous() and not D(g) for g in self.kernel_gens
+            )
+        return ok
+
+    def vanishes(self, D: Derivation, power: int, s: Poly) -> bool:
+        """D^power(s) = 0, for a nonzero homogeneous s.
+
+        The chain of s stops at its first zero image, so the number of
+        powers applied by then is the least power that kills s, and at
+        the size of the degree block of s, past which Ker D^i no longer
+        grows (Fitting's lemma).
+        """
+        applied, image = self._images.get((D, s), (0, s))
+        t = s.total_degree()
+        top = min(power, comb(s.nvars + t - 1, t))
+        while image and applied < top:
+            image = D(image)
+            applied += 1
+        self._images[(D, s)] = (applied, image)
+        return not image and applied <= power
+
+
 @dataclass(frozen=True)
 class SpanCheckResult:
     """Outcome of a module-span containment test with its certificate."""
@@ -234,10 +423,16 @@ class SpanCheckResult:
 
 
 def _span_products(
-    S: GeneratorSet | Sequence[Poly], kernel_gens: Sequence[Poly], degree: int
-) -> tuple[int, list[Poly], list[tuple[int, tuple[int, ...], Poly]]]:
-    """(nvars, the nonzero elements s, the products (s index, exponents of
-    c, c*s)) for every product c of kernel generators with deg(c*s) <= degree.
+    S: GeneratorSet | Sequence[Poly],
+    kernel_gens: Sequence[Poly],
+    degree: int,
+    products: SpanProducts | None = None,
+) -> tuple[list[Poly], list[tuple[int, tuple[int, ...], Poly]]]:
+    """(the nonzero elements s, the products (s index, exponents of c, c*s))
+    for every product c of kernel generators with deg(c*s) <= degree.
+
+    The products come from the given table, which must be for these
+    kernel generators and this degree, or from a new one.
     """
     elements = S.polys() if isinstance(S, GeneratorSet) else list(S)
     elements = [s for s in elements if s]
@@ -245,29 +440,18 @@ def _span_products(
         raise PreconditionError("empty generating data")
     nvars = (elements[0] if elements else kernel_gens[0]).nvars
     _guard(nvars, degree)
-    gen_degrees = [g.total_degree() for g in kernel_gens]
-    if any(d < 1 for d in gen_degrees):
+    if any(g.total_degree() < 1 for g in kernel_gens):
         raise PreconditionError("kernel generators must be nonconstant")
-
-    multipliers: list[tuple[tuple[int, ...], Poly, int]] = []
-    for evec in _multiplier_exponents(gen_degrees, degree):
-        p = Poly.constant(nvars, 1)
-        for g, e in zip(kernel_gens, evec):
-            if e:
-                p = p * g**e
-        multipliers.append((evec, p, p.total_degree()))
-
-    spanning: list[tuple[int, tuple[int, ...], Poly]] = []
-    for s_idx, s in enumerate(elements):
-        # over Q, deg(c*s) = deg c + deg s: skip products above the cap
-        budget = degree - s.total_degree()
-        for evec, c, c_degree in multipliers:
-            if c_degree > budget:
-                continue
-            p = c * s
-            if p and p.total_degree() <= degree:
-                spanning.append((s_idx, evec, p))
-    return nvars, elements, spanning
+    if products is None:
+        products = SpanProducts(kernel_gens, degree)
+    elif products.degree != degree or products.kernel_gens != tuple(kernel_gens):
+        raise PreconditionError("the products belong to other kernel generators or degree")
+    spanning = [
+        (s_idx, evec, p)
+        for s_idx, s in enumerate(elements)
+        for evec, p in products.of(s)
+    ]
+    return elements, spanning
 
 
 def certified_span_dimension(
@@ -276,6 +460,7 @@ def certified_span_dimension(
     D: Derivation,
     power: int,
     bounds: Sequence[int],
+    products: SpanProducts | None = None,
 ) -> int | None:
     """dim Ker D^power up to degree len(bounds) - 1, if the products c*s
     span it.
@@ -283,30 +468,33 @@ def certified_span_dimension(
     Decided by counting, with the products and the checks of
     module_span_check; bounds[t] is an upper bound on dim (Ker D^power)_t,
     as kernel_dimension_bounds gives.  When every kernel generator g is
-    homogeneous with D(g) = 0 and every element s is homogeneous with
-    D^power(s) = 0, each product c*s lies in Ker D^power, so in each
+    homogeneous with D(g) = 0 and every element s of degree at most the
+    cap is homogeneous with D^power(s) = 0, each product c*s lies in
+    Ker D^power (the elements above the cap form no product), so in each
     degree t rank_p(products) <= dim span <= dim (Ker D^power)_t <=
     bounds[t].  If the two ends meet in every degree the span is the
     whole kernel and its dimension is returned.  None means counting did
     not decide: module_span_check has to.
     """
-    nvars, elements, spanning = _span_products(S, kernel_gens, len(bounds) - 1)
-    if not all(g.is_homogeneous() and not D(g) for g in kernel_gens):
+    degree = len(bounds) - 1
+    if products is None:
+        products = SpanProducts(kernel_gens, degree)
+    elements, spanning = _span_products(S, kernel_gens, degree, products)
+    if not products.annihilated(D):
         return None
-    if not all(s.is_homogeneous() for s in elements):
+    factors = [s for s in elements if s.total_degree() <= degree]
+    if not all(s.is_homogeneous() for s in factors):
         return None
-    # the elements lie in the D-stable space of the polynomials of degree <= top
-    top = max((s.total_degree() for s in elements), default=0)
-    if any(_power_image(D, power, elements, comb(nvars + top, top))):
+    if not all(products.vanishes(D, power, s) for s in factors):
         return None
     by_degree: dict[int, list[Poly]] = {}
     for _, _, p in spanning:
         by_degree.setdefault(p.total_degree(), []).append(p)
     for t, bound in enumerate(bounds):
-        products = by_degree.get(t, [])
+        in_degree = by_degree.get(t, [])
         # rank_p(products) is their number minus the corank of their relations
-        if len(products) < bound or (
-            _corank(products, map(Poly.iter_terms, products)) != len(products) - bound
+        if len(in_degree) < bound or (
+            _corank(in_degree, map(Poly.iter_terms, in_degree)) != len(in_degree) - bound
         ):
             return None
     return sum(bounds)
@@ -317,15 +505,17 @@ def module_span_check(
     kernel_gens: Sequence[Poly],
     target: GradedBasis,
     degree: int,
+    products: SpanProducts | None = None,
 ) -> SpanCheckResult:
     """Is every target vector in the span of {c*s} up to the degree cap?
 
     c runs over products of the kernel generators and s over the given
     set; only products with deg(c*s) <= degree participate.  On success
     the certificate lists one witness combination per target vector; on
-    failure it reports the first vector outside the span.
+    failure it reports the first vector outside the span.  The products
+    come from the given table or a new one.
     """
-    _, _, spanning = _span_products(S, kernel_gens, degree)
+    _, spanning = _span_products(S, kernel_gens, degree, products)
 
     # One solve: the products are the unknowns' columns and the target
     # vectors ride along.  linalg.solve_many takes columns, so the rows of
@@ -354,14 +544,15 @@ def module_span_check(
     return SpanCheckResult(True, {"witnesses": witnesses})
 
 
-def _commutator_system(D: Derivation, degree: int):
+def _commutator_system(D: Derivation, degree: int, chain: PowerChain | None):
     """The map T -> [T, D] on derivations of coefficient degree <= degree.
 
     Returns (image, blocks): blocks[t] lists the unknowns of coefficient
     degree t as (coefficient index i, monomial m) keys, and image(key)
     yields the terms of [x^m d_i, D] keyed the same way.  Its k-th
     coefficient is a_ki x^m - [k = i] D(x^m), where a_ki = d_i(D_k) is a
-    constant because D is linear.
+    constant because D is linear.  D(x^m) is the first level of the chain
+    of D (the given one or a new one).
     """
     _check_linear(D)
     if degree < 0:
@@ -369,18 +560,18 @@ def _commutator_system(D: Derivation, degree: int):
     n = D.nvars
     # each degree's system is sparse, but its elimination scans every key
     _guard(n, degree, n)
+    chain = _chain_for(D, chain)
     units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     a = [[(k, c) for k in range(n) if (c := D.coeffs[k].coefficient(units[i]))]
          for i in range(n)]
     applied: dict[Exponent, Poly] = {}  # D(x^m), shared by the n keys of m
+    for t in range(degree + 1):
+        applied.update(zip(chain.monomials(t), chain.level(t, 1)))
 
     def image(key: tuple[int, Exponent]):
         i, m = key
-        dm = applied.get(m)
-        if dm is None:
-            dm = applied[m] = D(Poly(n, {m: 1}))
         terms = {(k, m): c for k, c in a[i]}
-        for exp, c in dm.iter_terms():
+        for exp, c in applied[m].iter_terms():
             x = terms.get((i, exp), 0) - c
             if x:
                 terms[(i, exp)] = x
@@ -388,19 +579,22 @@ def _commutator_system(D: Derivation, degree: int):
                 del terms[(i, exp)]
         return terms.items()
 
-    blocks = [[(i, m) for i in range(n) for m in monomials_of_degree(n, t)]
+    blocks = [[(i, m) for i in range(n) for m in chain.monomials(t)]
               for t in range(degree + 1)]
     return image, blocks
 
 
-def centralizer_basis(D: Derivation, degree: int) -> list[Derivation]:
+def centralizer_basis(
+    D: Derivation, degree: int, chain: PowerChain | None = None
+) -> list[Derivation]:
     """Basis of {T : coefficient degree <= degree, [T, D] = 0}.
 
     D must be linear.  The commutator with D is a degree-preserving
     linear map on the space of derivations with homogeneous coefficients,
-    so the null space is assembled one coefficient degree at a time.
+    so the null space is assembled one coefficient degree at a time.  The
+    images D(x^m) come from the given chain of D or a new one.
     """
-    image, blocks = _commutator_system(D, degree)
+    image, blocks = _commutator_system(D, degree, chain)
     n = D.nvars
     out: list[Derivation] = []
     for keys in blocks:
@@ -412,13 +606,15 @@ def centralizer_basis(D: Derivation, degree: int) -> list[Derivation]:
     return out
 
 
-def centralizer_dimension_bound(D: Derivation, degree: int) -> int | None:
+def centralizer_dimension_bound(
+    D: Derivation, degree: int, chain: PowerChain | None = None
+) -> int | None:
     """An upper bound on the dimension centralizer_basis enumerates.
 
     The corank of the [., D] system, summed over the coefficient degrees;
     None when MODULUS divides a denominator of D.
     """
-    image, blocks = _commutator_system(D, degree)
+    image, blocks = _commutator_system(D, degree, chain)
     coranks = [_corank(keys, map(image, keys)) for keys in blocks]
     return None if None in coranks else sum(coranks)
 
@@ -483,7 +679,9 @@ def rank_over_fractions(
     stops once two consecutive samples agree, and the answer is the
     largest sampled rank (specialization can only drop rank, never raise
     it, so every sample is a lower bound).  If the retry budget runs out
-    the symbolic fraction-free path decides.
+    the symbolic fraction-free path decides.  A sample evaluates the
+    first n columns and the rest only if their rank is below n: no
+    sample of n rows has a rank above n.
     """
     if not derivations:
         raise PreconditionError("need at least one derivation")
@@ -492,6 +690,7 @@ def rank_over_fractions(
         if T.nvars != n:
             raise PreconditionError("derivations live in different rings")
     coeff_matrix = [[T.coeffs[i] for T in derivations] for i in range(n)]
+    m = len(derivations)
     rng = random.Random(seed)
     points: list[tuple[int, ...]] = []
     ranks: list[int] = []
@@ -499,9 +698,15 @@ def rank_over_fractions(
     def sample() -> int:
         point = tuple(rng.randint(-(10**6), 10**6) for _ in range(n))
         points.append(point)
-        numeric = [{j: entry.evaluate(point) for j, entry in enumerate(row) if entry}
-                   for row in coeff_matrix]
-        return linalg.rank(numeric, len(derivations))
+        numeric: list[linalg.SparseRow] = [{} for _ in range(n)]
+
+        def rank_with(columns: range) -> int:
+            for values, row in zip(numeric, coeff_matrix):
+                values.update((j, e.evaluate(point)) for j in columns if (e := row[j]))
+            return linalg.rank(numeric, m)
+
+        rank = rank_with(range(min(n, m)))
+        return rank_with(range(n, m)) if rank < n < m else rank
 
     ranks.append(sample())
     ranks.append(sample())
@@ -532,14 +737,14 @@ def kernel_generator_candidates(n: int, degree: int) -> list[Poly]:
         raise ResourceLimitError(
             f"degree {degree} exceeds the candidate-search cap {cap} for n={n}"
         )
-    D = weitzenboeck_derivation(n)
+    chain = PowerChain(weitzenboeck_derivation(n))
     one = Poly.constant(n, 1)
     candidates: list[Poly] = []
     for t in range(1, degree + 1):
-        _, _, spanning = _span_products([one], candidates, t)
+        _, spanning = _span_products([one], candidates, t)
         columns = [p for _, _, p in spanning if p.total_degree() == t]
         products = len(columns)
-        columns += _kernel_block(D, 1, t)
+        columns += _kernel_block(chain, 1, t)
         rows = _sparse_rows(map(Poly.iter_terms, columns))
         _, pivots = linalg.rref(rows, len(columns))
         candidates += [columns[j] for j in pivots if j >= products]

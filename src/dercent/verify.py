@@ -15,6 +15,10 @@ of elements known to lie in the space against an upper bound on its
 dimension); only when the counts differ do they solve over Q, so a
 failing item gets the exact certificate.  `oracle verify-thm2` always
 solves over Q, because it prints the witnesses.
+
+A run builds what its items share once: one chain of D^i images of the
+unit monomials (for the counting bounds, the exact kernel bases and the
+[., D] systems) and one table of span products c*s (for every level).
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from .linearder import (
 )
 from .oracle import (
     GradedBasis,
+    PowerChain,
+    SpanProducts,
     centralizer_basis,
     centralizer_dimension_bound,
     certified_span_dimension,
@@ -78,7 +84,9 @@ class VerificationRun:
     Each is built on first use and kept on the instance, so the checks of
     one run share it and a new run builds it afresh.  A construction that
     raised is kept as its exception: every later use re-raises the same
-    object instead of building it again.
+    object instead of building it again.  So are the intermediates the
+    oracle shares between checks: the chain of D^i images of the unit
+    monomials and the span products, each filled in as checks need it.
     """
 
     def __init__(self, n: int, degree: int, kernel_gens: Sequence[Poly] = ()):
@@ -86,6 +94,8 @@ class VerificationRun:
             raise PreconditionError("degree must be >= 0")
         self.n, self.degree, self.kernel_gens = n, degree, kernel_gens
         self.D = weitzenboeck_derivation(n)
+        self.chain = PowerChain(self.D)
+        self.products = SpanProducts(kernel_gens, degree)
         self._built: dict[tuple, object] = {}
 
     def _once(self, key: tuple, build, *args):
@@ -101,7 +111,7 @@ class VerificationRun:
 
     def kernel(self, level: int) -> GradedBasis:
         return self._once(
-            ("kernel", level), kernel_power_basis, self.D, level, self.degree
+            ("kernel", level), kernel_power_basis, self.D, level, self.degree, self.chain
         )
 
     def generator_set(self, level: int) -> GeneratorSet:
@@ -110,7 +120,9 @@ class VerificationRun:
         )
 
     def centralizer(self, degree: int) -> list[Derivation]:
-        return self._once(("centralizer", degree), centralizer_basis, self.D, degree)
+        return self._once(
+            ("centralizer", degree), centralizer_basis, self.D, degree, self.chain
+        )
 
     @property
     def generators(self) -> list[CentralizerGenerator]:
@@ -123,12 +135,15 @@ class VerificationRun:
         """(kernel basis, SpanCheckResult) of D^level."""
         S = self.generator_set(level)
         target = self.kernel(level)
-        return target, module_span_check(S, self.kernel_gens, target, self.degree)
+        return target, module_span_check(
+            S, self.kernel_gens, target, self.degree, self.products
+        )
 
     def kernel_bounds(self) -> list[list[int]] | None:
         """Upper bounds on dim (Ker D^i)_t for every level i and degree t."""
         return self._once(
-            ("kernel_bounds",), kernel_dimension_bounds, self.D, self.n, self.degree
+            ("kernel_bounds",), kernel_dimension_bounds,
+            self.D, self.n, self.degree, self.chain,
         )
 
     def span_verdict(self, level: int) -> tuple[GeneratorSet, int, dict | None]:
@@ -138,7 +153,7 @@ class VerificationRun:
         bounds = self.kernel_bounds()
         if bounds is not None:
             dimension = certified_span_dimension(
-                S, self.kernel_gens, self.D, level, bounds[level - 1]
+                S, self.kernel_gens, self.D, level, bounds[level - 1], self.products
             )
             if dimension is not None:
                 return S, dimension, None
@@ -157,7 +172,7 @@ class VerificationRun:
         # the bound's unknowns guard is the centralizer's, and it runs
         # first: beyond the cap the item reports the same error as the
         # exact enumeration, not the smaller kernel basis's monomial cap
-        bound = centralizer_dimension_bound(self.D, self.degree)
+        bound = centralizer_dimension_bound(self.D, self.degree, self.chain)
         ladders = [
             commuting_derivation(f, self.n) for f in self.kernel(self.n).vectors
         ]

@@ -11,6 +11,13 @@ from dercent.derivation import Derivation
 from dercent.errors import InternalInconsistencyError
 from dercent.linalg import nullspace
 from dercent.linearder import linear_derivation, matrix_commutant
+from dercent.oracle import (
+    RANK_SAMPLE_RETRIES,
+    GradedBasis,
+    PowerChain,
+    RankResult,
+    symbolic_rank,
+)
 from dercent.poly import Poly, grlex_key, monomials_of_degree, poly_divexact
 from dercent.ratfunc import RatFunc
 from dercent.registry import KernelEntry, load_registry, registry_to_json
@@ -102,16 +109,45 @@ def match_up_to_scalar(actual: list[Derivation], expected: list[Derivation]) -> 
     return True
 
 
-def count_calls(monkeypatch, name, key=lambda args: None) -> Counter:
-    """Count the calls dercent.verify makes to `name`, keyed by key(args)."""
+def count_calls(monkeypatch, name, key=lambda args: None, module=dercent.verify) -> Counter:
+    """Count the calls made to `name` through the module (by default
+    dercent.verify), keyed by key(args)."""
     calls = Counter()
-    inner = getattr(dercent.verify, name)
+    inner = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         calls[key(args)] += 1
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(dercent.verify, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def count_unit_applications(monkeypatch) -> Counter:
+    """Count, by exponent m, the applications of a derivation to the unit
+    monomials x^m that the power chains of dercent.oracle start from: the
+    computations of D(x^m) for its kernels, bounds and [., D] systems."""
+    calls = Counter()
+    building = []  # nonempty while a chain builds the first level of a block
+    start = PowerChain._block
+
+    def block(chain, degree):
+        building.append(degree)
+        try:
+            return start(chain, degree)
+        finally:
+            building.pop()
+
+    apply = Derivation.__call__
+
+    def call(D, p):
+        terms = list(p.iter_terms())
+        if building and len(terms) == 1 and terms[0][1] == 1:
+            calls[terms[0][0]] += 1
+        return apply(D, p)
+
+    monkeypatch.setattr(PowerChain, "_block", block)
+    monkeypatch.setattr(Derivation, "__call__", call)
     return calls
 
 
@@ -397,3 +433,74 @@ def sl2_kernel_dimension(n: int, power: int, degree: int) -> int:
     p = Counter(monomial_weight(m, n) for m in monomials_of_degree(n, degree))
     return sum((p[w] - p[w + 2]) * min(power, w + 1)
                for w in range(max(p, default=-1) + 1))
+
+
+# References for the oracle's fast paths: each computes what the oracle
+# computed before it split systems into blocks, shared one power chain per
+# run, or stopped a rank sample at n columns.
+
+
+def _dense_system(keys, columns) -> list[list[Fraction]]:
+    """The rows of the map whose column j has the (row key, entry) terms
+    columns[j], dense over len(keys) columns; zero rows dropped."""
+    rows: dict = {}
+    for j, terms in enumerate(columns):
+        for key, c in terms:
+            rows.setdefault(key, [Fraction(0)] * len(keys))[j] += c
+    return [row for row in rows.values() if any(row)]
+
+
+def reference_null_combinations(keys, columns) -> list[dict]:
+    """oracle._null_combinations by one unsplit dense elimination."""
+    return [
+        {keys[j]: x for j, x in enumerate(v) if x}
+        for v in reference_nullspace(_dense_system(keys, columns), len(keys))
+    ]
+
+
+def reference_corank(keys, columns, modulus: int) -> int | None:
+    """oracle._corank by one unsplit dense elimination mod the prime."""
+    try:
+        return len(keys) - reference_rank_mod(_dense_system(keys, columns), len(keys), modulus)
+    except ValueError:  # the prime divides a denominator
+        return None
+
+
+def reference_kernel_power_basis(D: Derivation, power: int, degree: int) -> GradedBasis:
+    """Kernel of D^power up to the degree: D applied power times to each
+    unit monomial, and one dense null space per degree."""
+    n = D.nvars
+    vectors = []
+    for t in range(degree + 1):
+        monos = monomials_of_degree(n, t)
+        images = []
+        for m in monos:
+            image = Poly(n, {m: 1})
+            for _ in range(power):
+                image = D(image)
+            images.append(image)
+        null = reference_null_combinations(monos, [p.iter_terms() for p in images])
+        vectors += [Poly(n, v) for v in null]
+    return GradedBasis(degree, tuple(vectors))
+
+
+def reference_rank_over_fractions(derivations, seed: int = 0) -> RankResult:
+    """rank_over_fractions with every sample evaluating every column."""
+    n = derivations[0].nvars
+    coeff_matrix = [[T.coeffs[i] for T in derivations] for i in range(n)]
+    rng = random.Random(seed)
+    points, ranks = [], []
+
+    def sample() -> int:
+        point = tuple(rng.randint(-(10**6), 10**6) for _ in range(n))
+        points.append(point)
+        numeric = [[entry.evaluate(point) for entry in row] for row in coeff_matrix]
+        return len(reference_rref(numeric)[1])
+
+    ranks.append(sample())
+    ranks.append(sample())
+    while ranks[-1] != ranks[-2] and len(ranks) < 2 + RANK_SAMPLE_RETRIES:
+        ranks.append(sample())
+    if ranks[-1] == ranks[-2]:
+        return RankResult(max(ranks), "sampled", tuple(points), tuple(ranks))
+    return RankResult(symbolic_rank(coeff_matrix), "symbolic", tuple(points), tuple(ranks))

@@ -2,7 +2,9 @@
 
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -15,6 +17,7 @@ from dercent.linalg import in_row_space, rank, rref
 from dercent.linearder import linear_derivation
 from dercent.oracle import (
     GradedBasis,
+    PowerChain,
     centralizer_basis,
     centralizer_dimension_bound,
     certified_span_dimension,
@@ -32,13 +35,18 @@ from dercent.weitzenboeck import (
     centralizer_generators,
     commuting_derivation,
     generator_set,
+    monomial_weight,
     weitzenboeck_derivation,
 )
 
 from support import (
     random_nonzero_poly,
     reference_centralizer_basis,
+    reference_corank,
     reference_derivation_span_equal,
+    reference_kernel_power_basis,
+    reference_null_combinations,
+    reference_rank_over_fractions,
     reference_symbolic_rank,
     sl2_kernel_dimension,
 )
@@ -155,6 +163,128 @@ class TestKernelPowerBasis:
         bounds = kernel_dimension_bounds(D3, 40, 2)
         assert bounds[5:] == [bounds[5]] * 35
         assert bounds[39] == [sl2_kernel_dimension(3, 40, t) for t in range(3)]
+
+    def test_bounds_past_the_block_size_are_one_row(self):
+        # every level past the longest chain (at most the 6 monomials of
+        # degree 2) is the same list: a million levels cost a million
+        # references, not a million lists
+        tracemalloc.start()
+        try:
+            bounds = kernel_dimension_bounds(D3, 10**6, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000_000
+        assert len(bounds) == 10**6
+        assert all(row is bounds[-1] for row in bounds[6:])
+        assert bounds[-1] == [sl2_kernel_dimension(3, 10**6, t) for t in range(3)]
+
+
+DIAGONAL = linear_derivation([[1, 0, 0], [0, 0, 0], [0, 0, -1]])
+
+
+class TestPowerChain:
+    """One chain of D^i images serves every kernel, bound and [., D] system."""
+
+    @pytest.mark.parametrize("D, power", [
+        (weitzenboeck_derivation(4), 4), (J32, 3), (DIAGONAL, 3),
+    ], ids=["weitzenboeck", "jordan-3-2", "diagonal"])
+    def test_shared_chain_matches_separate_calls(self, D, power):
+        degree = 3
+        chain = PowerChain(D)
+        # the highest level first and the counts last: the order of the
+        # readings does not matter
+        kernels = [kernel_power_basis(D, i, degree, chain)
+                   for i in range(power, 0, -1)][::-1]
+        bounds = kernel_dimension_bounds(D, power, degree, chain)
+        assert kernels == [kernel_power_basis(D, i, degree)
+                           for i in range(1, power + 1)]
+        assert kernels == [reference_kernel_power_basis(D, i, degree)
+                           for i in range(1, power + 1)]
+        assert bounds == kernel_dimension_bounds(D, power, degree)
+        assert bounds == [[sum(v.total_degree() == t for v in k.vectors)
+                           for t in range(degree + 1)] for k in kernels]
+        assert centralizer_basis(D, 2, chain) == centralizer_basis(D, 2)
+        assert centralizer_dimension_bound(D, 2, chain) == (
+            centralizer_dimension_bound(D, 2)
+        )
+
+    def test_a_walk_computes_each_level_once(self, monkeypatch):
+        # the bounds walk every level; the exact kernel of the top power
+        # then reads the deepest level kept, and the [., D] system the first
+        D = weitzenboeck_derivation(4)
+        chain = PowerChain(D)
+        applied = []
+        inner = Derivation.__call__
+        monkeypatch.setattr(
+            Derivation, "__call__", lambda D, p: applied.append(1) or inner(D, p)
+        )
+        kernel_dimension_bounds(D, 4, 3, chain)
+        walked = len(applied)
+        kernel_power_basis(D, 4, 3, chain)
+        centralizer_dimension_bound(D, 3, chain)
+        assert len(applied) == walked
+
+    def test_chain_of_another_derivation_rejected(self):
+        chain = PowerChain(weitzenboeck_derivation(3))
+        with pytest.raises(PreconditionError, match="another derivation"):
+            kernel_power_basis(DIAGONAL, 1, 2, chain)
+        with pytest.raises(PreconditionError, match="another derivation"):
+            centralizer_basis(DIAGONAL, 1, chain)
+
+
+entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def block_systems(draw):
+    """(keys, columns): a sparse system of independent blocks, with the keys
+    shuffled, keys whose image is zero and blocks of one key."""
+    columns = {}
+    for b in range(draw(st.integers(0, 4))):
+        nrows = draw(st.integers(1, 3))
+        for k in range(draw(st.integers(1, 3))):
+            columns[(b, k)] = [((b, r), c) for r in range(nrows) if (c := draw(entries))]
+    for z in range(draw(st.integers(0, 2))):
+        columns[("zero", z)] = []
+    keys = draw(st.permutations(list(columns)))
+    return keys, [columns[key] for key in keys]
+
+
+class TestBlockedElimination:
+    """Block-by-block readings against one elimination of the whole system."""
+
+    @given(block_systems())
+    def test_null_combinations_match_the_unsplit_solve(self, system):
+        keys, columns = system
+        assert oracle._null_combinations(keys, columns) == (
+            reference_null_combinations(keys, columns)
+        )
+
+    @given(block_systems(), st.sampled_from([oracle.MODULUS, 2, 3, 5]))
+    def test_corank_matches_the_unsplit_count(self, system, modulus):
+        # small primes divide entries and denominators: ranks drop, or
+        # the count says nothing (None)
+        keys, columns = system
+        with mock.patch.object(oracle, "MODULUS", modulus):
+            assert oracle._corank(keys, columns) == (
+                reference_corank(keys, columns, modulus)
+            )
+
+    def test_weitzenboeck_blocks_refine_the_weights(self):
+        # D raises the weight by 2, so no block of the degree-4 system of
+        # D in 5 variables mixes weights; the largest has 8 of the 70 keys,
+        # the monomials of weight 0
+        n = 5
+        chain = PowerChain(weitzenboeck_derivation(n))
+        monos = chain.monomials(4)
+        images = chain.level(4, 1)
+        rows = oracle._sparse_rows(map(Poly.iter_terms, images))
+        blocks = oracle._blocks(rows)
+        for columns, _ in blocks:
+            assert len({monomial_weight(monos[j], n) for j in columns}) == 1
+        assert len(monos) == 70
+        assert max(len(columns) for columns, _ in blocks) == 8
 
 
 class TestModuleSpanCheck:
@@ -360,6 +490,30 @@ class TestCountingBounds:
         assert kernel_dimension_bounds(half, 2, 2) is None
         assert centralizer_dimension_bound(half, 2) is None
 
+    def test_only_elements_below_the_cap_are_checked(self, monkeypatch):
+        # the level-6 set at n = 6 has 1315 elements and 53 of them have
+        # degree <= 3; only those form products up to degree 3, so D is
+        # applied to no other element
+        n, cap = 6, 3
+        gens = registry_entry(n).generators
+        S = generator_set(n, gens, n)
+        D = weitzenboeck_derivation(n)
+        bounds = kernel_dimension_bounds(D, n, cap)[n - 1]
+        elements = set(S.polys())
+        applied = Counter()
+        inner = Derivation.__call__
+
+        def call(D, p):
+            if p in elements:
+                applied[p] += 1
+            return inner(D, p)
+
+        monkeypatch.setattr(Derivation, "__call__", call)
+        assert certified_span_dimension(S, gens, D, n, bounds) == sum(bounds)
+        below = {s for s in elements if s.total_degree() <= cap}
+        assert (len(elements), len(below)) == (1315, 53)
+        assert set(applied) == below
+
     @pytest.mark.parametrize("elements, kernel_gens, cap", [
         ([], [], None),
         ([x1], [Poly.constant(3, 2)], None),
@@ -495,6 +649,52 @@ class TestRank:
     def test_symbolic_rank_matches_reference(self, case):
         m, inner = case
         assert symbolic_rank(m) == reference_symbolic_rank(m) <= inner
+
+    def test_sample_stops_at_n_columns(self, monkeypatch):
+        # the 34 generators at n = 4: a sample whose first 4 columns have
+        # rank 4 evaluates no other column, and the result is the
+        # full-column one
+        gens = [g.derivation for g in
+                centralizer_generators(4, registry_entry(4).generators)]
+        evaluated = []
+        inner = Poly.evaluate
+        monkeypatch.setattr(
+            Poly, "evaluate", lambda p, point: evaluated.append(1) or inner(p, point)
+        )
+        result = rank_over_fractions(gens, seed=7)
+        assert len(evaluated) <= 2 * 4 * 4 < 4 * len(gens)
+        monkeypatch.undo()
+        assert result == reference_rank_over_fractions(gens, seed=7)
+        assert result.rank == 4
+
+    @pytest.mark.parametrize("family, expected", [
+        # the first n columns have rank 1 and the fourth adds one: rank 2 < n
+        ([D3, D3 * x1, D3 * (x2 + 1), Derivation.partial(3, 0)], 2),
+        # the first n columns have rank 1 and the rest reach n
+        ([D3, D3 * x1, D3 * Fraction(1, 2), Derivation.partial(3, 0),
+          Derivation.partial(3, 1)], 3),
+    ])
+    def test_deficient_sample_reads_every_column(self, family, expected):
+        result = rank_over_fractions(family, seed=3)
+        assert result == reference_rank_over_fractions(family, seed=3)
+        assert result.rank == expected
+
+    @given(st.data())
+    def test_stopped_samples_match_the_full_samples(self, data):
+        # T_j = sum_k f_jk U_k over r base derivations: rank at most r <= n,
+        # with more columns than n as often as not
+        derivations = st.lists(affine_polys, min_size=3, max_size=3).map(
+            lambda coeffs: Derivation(tuple(coeffs))
+        )
+        bases = data.draw(st.lists(derivations, min_size=1, max_size=3))
+        family = [
+            sum((U * data.draw(affine_polys) for U in bases), Derivation.zero(3))
+            for _ in range(data.draw(st.integers(1, 6)))
+        ]
+        seed = data.draw(st.integers(0, 3))
+        assert rank_over_fractions(family, seed) == (
+            reference_rank_over_fractions(family, seed)
+        )
 
 
 class TestKernelCandidates:

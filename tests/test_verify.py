@@ -1,11 +1,11 @@
 """Verification suite: what a run builds, how often and at which size."""
 
 from dercent import oracle
-from dercent.poly import Poly
+from dercent.poly import Poly, monomials_up_to_degree
 from dercent.registry import load_registry
 from dercent.verify import DECOMPOSE_DEGREE_CAP, run_verification
 
-from support import count_calls, write_registry
+from support import count_calls, count_unit_applications, write_registry
 
 
 def test_each_construction_built_once_per_run(monkeypatch):
@@ -24,6 +24,10 @@ def test_each_construction_built_once_per_run(monkeypatch):
         ),
         "module_span_check": count_calls(monkeypatch, "module_span_check"),
         "derivation_span_equal": count_calls(monkeypatch, "derivation_span_equal"),
+        # the intermediates the oracle shares between checks: D(x^m) keyed
+        # by m, and the products of the kernel generators
+        "unit_applications": count_unit_applications(monkeypatch),
+        "multiplier_table": count_calls(monkeypatch, "_multiplier_table", module=oracle),
     }
 
     def calls():
@@ -39,6 +43,10 @@ def test_each_construction_built_once_per_run(monkeypatch):
         "generator_set": {level: 1 for level in range(1, 5)},
         "module_span_check": {},
         "derivation_span_equal": {},
+        # one chain of D^i images serves the bounds, the exact kernel of D^4
+        # and both [., D] systems; one table serves the products of every level
+        "unit_applications": {m: 1 for m in monomials_up_to_degree(4, 3)},
+        "multiplier_table": {None: 1},
     }
     assert all(item.ok for item in run_verification(4, 3))
     assert calls() == expected
