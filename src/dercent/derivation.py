@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import DimensionError, PreconditionError
-from .poly import Poly, Scalar, parse_count
+from .errors import DimensionError, PreconditionError, ResourceLimitError
+from .poly import FIELD_LIMIT, Poly, Scalar, degree_cap, parse_count, variable_field
 from .ratfunc import RatFunc
 
 
@@ -63,30 +63,52 @@ class Derivation:
             raise DimensionError(
                 f"polynomial has {f.nvars} variables, derivation {self.nvars}"
             )
-        # Fused partial-derivative / multiply / accumulate pass; this is
-        # the hottest loop in the package.
-        acc: dict[tuple[int, ...], int | Fraction] = {}
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            citems = list(c.iter_terms())
-            for exp, k in f.iter_terms():
-                e = exp[i]
-                if not e:
-                    continue
-                scaled = k * e
-                for cexp, cc in citems:
-                    combined = [a + b for a, b in zip(exp, cexp)]
-                    combined[i] -= 1
-                    key = tuple(combined)
-                    val = scaled if cc == 1 else scaled * cc
-                    prev = acc.get(key)
-                    s = val if prev is None else prev + val
-                    if s:
-                        acc[key] = s
-                    else:
-                        del acc[key]
+        action, coeff_degree = self._action()
+        if not f or not action:
+            return Poly.zero(self.nvars)
+        degree = f.total_degree() - 1 + coeff_degree
+        cap = degree_cap()
+        if degree > cap:
+            raise ResourceLimitError(f"derivation image degree {degree} exceeds cap {cap}")
+        # Fused partial-derivative / multiply / accumulate pass on monomial
+        # keys; this is the hottest loop in the package.  Under the cap no
+        # exponent field of a result key reaches FIELD_LIMIT.
+        acc: dict[int, Scalar] = {}
+        get = acc.get
+        mask = FIELD_LIMIT - 1
+        fterms = f.iter_terms()
+        for shift, offset, cc in action:
+            for k, c in fterms:
+                e = k >> shift & mask
+                if e:
+                    key = k + offset
+                    val = c * e if cc == 1 else c * e * cc
+                    prev = get(key)
+                    acc[key] = val if prev is None else prev + val
+        if not all(acc.values()):
+            acc = {k: c for k, c in acc.items() if c}
         return Poly._raw(self.nvars, acc)
+
+    def _action(self) -> tuple[list[tuple[int, int, Scalar]], int]:
+        """How __call__ applies self, built on first use and kept.
+
+        One step per term c*x^m of each coefficient f_i: the shift of the
+        x_i field, the key of x^m less the key of x_i, and c.  A term x^k
+        of the argument with e_i > 0 then maps to the key k + offset, with
+        coefficient e_i * c.  Also the largest total degree of a
+        coefficient.
+        """
+        action = self.__dict__.get("_action_cache")
+        if action is None:
+            steps, degree = [], 0
+            for i, f in enumerate(self.coeffs):
+                if f:
+                    shift, unit = variable_field(self.nvars, i)
+                    steps += [(shift, k - unit, c) for k, c in f.iter_terms()]
+                    degree = max(degree, f.total_degree())
+            action = (steps, degree)
+            object.__setattr__(self, "_action_cache", action)
+        return action
 
     def bracket(self, other: "Derivation") -> "Derivation":
         """Commutator [self, other]; i-th coefficient self(gi) - other(fi)."""

@@ -49,7 +49,7 @@ from typing import Sequence
 from . import linalg
 from .derivation import Derivation
 from .errors import PreconditionError, ResourceLimitError
-from .poly import Exponent, Poly, monomials_of_degree
+from .poly import Exponent, Poly, monomial_key, monomials_of_degree
 from .weitzenboeck import GeneratorSet, weitzenboeck_derivation
 
 MONOMIAL_COUNT_CAP = 20_000
@@ -570,7 +570,9 @@ def _commutator_system(D: Derivation, degree: int, chain: PowerChain | None):
 
     def image(key: tuple[int, Exponent]):
         i, m = key
-        terms = {(k, m): c for k, c in a[i]}
+        # rows are keyed (k, monomial key), as the terms of D(x^m) are
+        mk = monomial_key(m)
+        terms = {(k, mk): c for k, c in a[i]}
         for exp, c in applied[m].iter_terms():
             x = terms.get((i, exp), 0) - c
             if x:

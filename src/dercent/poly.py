@@ -1,26 +1,47 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial stores a map from exponent tuples to nonzero Fraction
+A polynomial stores a map from monomial keys to nonzero int or Fraction
 coefficients; zero coefficients are never kept, so structural equality is
 dict equality.  The canonical term order is graded lexicographic with
 x1 > x2 > ... > xn, largest term first.
 
-Product-like operations (mul, pow, substitute) guard against runaway
-degree growth through the module-level DEGREE_CAP and raise
-ResourceLimitError instead of allocating huge results.
+A monomial x1^e1 ... xn^en is stored as one integer, its key: fields of
+FIELD_BITS (8) bits each, the total degree in the top field and then
+e1, ..., en, so en sits in the lowest 8 bits.  Graded-lex order is then
+integer order: `terms()` is a plain sort and the leading monomial is the
+largest key.  The product of two monomials is the sum of their keys, and
+d/dx_i subtracts the key of x_i.  An exponent must be below FIELD_LIMIT
+(256); the constructor and `from_json` refuse a larger one with
+ResourceLimitError.  Exponent tuples remain the public form: the
+constructor takes them, and `terms()`, `coefficient`,
+`leading_monomial`, `monomial_content`, `to_json` and `str` speak them;
+only `iter_terms()` yields the stored keys, for callers that use them as
+ids (`monomial_key` gives the key of a tuple).
+
+Product-like operations (mul, pow, substitute, and applying a
+derivation) guard against runaway degree growth through the module-level
+DEGREE_CAP and raise ResourceLimitError instead of allocating huge
+results.  The cap is what keeps every field of a computed key below 256,
+so no field carries into its neighbour: a cap raised to FIELD_LIMIT or
+more is refused by `degree_cap()`, which every guard reads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import lt
 from typing import Mapping, Sequence
 
 from .errors import DimensionError, NotDivisibleError, ResourceLimitError
 
 # Total-degree guard for product-like operations; module-level so callers
-# can raise it for deliberately large computations.
+# can raise it for deliberately large computations, up to FIELD_LIMIT - 1.
 DEGREE_CAP = 64
+
+# Width of one field of a monomial key; every exponent is below FIELD_LIMIT.
+FIELD_BITS = 8
+FIELD_LIMIT = 1 << FIELD_BITS
 
 Exponent = tuple[int, ...]
 Scalar = int | Fraction
@@ -69,9 +90,51 @@ def parse_count(value) -> int:
     return value
 
 
-def grlex_key(exponent: Exponent) -> tuple[int, Exponent]:
-    """Sort key realizing graded-lex order (total degree, then lex)."""
-    return (sum(exponent), exponent)
+def degree_cap() -> int:
+    """DEGREE_CAP, refused with ResourceLimitError once it is FIELD_LIMIT
+    or more: a degree that high could carry one exponent field into the
+    next."""
+    if DEGREE_CAP >= FIELD_LIMIT:
+        raise ResourceLimitError(
+            f"DEGREE_CAP {DEGREE_CAP} exceeds the exponent field limit "
+            f"{FIELD_LIMIT - 1}"
+        )
+    return DEGREE_CAP
+
+
+def _pack(exponent, nvars: int) -> int:
+    """The key of an exponent tuple of length nvars, validated."""
+    exp = tuple(exponent)
+    if len(exp) != nvars:
+        raise DimensionError(f"exponent {exp} has length {len(exp)}, expected {nvars}")
+    try:
+        fields = int.from_bytes(bytes(exp), "big")
+    except ValueError:  # bytes() takes only 0 <= e < FIELD_LIMIT
+        if any(e < 0 for e in exp):
+            raise ValueError(f"negative exponent in {exp}") from None
+        raise ResourceLimitError(
+            f"exponent in {exp} exceeds the field limit {FIELD_LIMIT - 1}"
+        ) from None
+    return (sum(exp) << FIELD_BITS * nvars) | fields
+
+
+def monomial_key(exponent: Exponent) -> int:
+    """The key under which a polynomial in len(exponent) variables stores
+    the monomial x^exponent (what `Poly.iter_terms` yields)."""
+    return _pack(exponent, len(exponent))
+
+
+def key_exponents(key: int, nvars: int) -> bytes:
+    """The exponents e1, ..., en of a monomial key, as a bytes object."""
+    return (key & ((1 << FIELD_BITS * nvars) - 1)).to_bytes(nvars, "big")
+
+
+def variable_field(nvars: int, index: int) -> tuple[int, int]:
+    """(shift, key) for x_(index+1), index 0-based: the exponent of that
+    variable in a key k is k >> shift & (FIELD_LIMIT - 1), and key is the
+    key of the variable itself."""
+    shift = FIELD_BITS * (nvars - 1 - index)
+    return shift, (1 << FIELD_BITS * nvars) | (1 << shift)
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list[Exponent]:
@@ -107,25 +170,19 @@ class Poly:
     def __init__(self, nvars: int, terms: Mapping[Exponent, Scalar] | None = None):
         if nvars < 0:
             raise ValueError("nvars must be non-negative")
-        clean: dict[Exponent, Scalar] = {}
+        clean: dict[int, Scalar] = {}
         for exp, coeff in (terms or {}).items():
-            exp = tuple(exp)
-            if len(exp) != nvars:
-                raise DimensionError(
-                    f"exponent {exp} has length {len(exp)}, expected {nvars}"
-                )
-            if any(e < 0 for e in exp):
-                raise ValueError(f"negative exponent in {exp}")
+            key = _pack(exp, nvars)
             c = _normalize_scalar(coeff)
             if c:
-                clean[exp] = c
+                clean[key] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def _raw(cls, nvars: int, terms: dict[Exponent, Scalar]) -> "Poly":
-        """Trusted constructor: terms must already be canonical."""
+    def _raw(cls, nvars: int, terms: dict[int, Scalar]) -> "Poly":
+        """Trusted constructor: terms must already be canonical and keyed."""
         self = object.__new__(cls)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", terms)
@@ -143,16 +200,15 @@ class Poly:
 
     @classmethod
     def constant(cls, nvars: int, value: Scalar) -> "Poly":
-        return cls(nvars, {(0,) * nvars: value})
+        c = _normalize_scalar(value)
+        return cls._raw(nvars, {0: c} if c else {})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
         """The polynomial x_(index+1); index is 0-based."""
         if not 0 <= index < nvars:
             raise DimensionError(f"variable index {index} out of range for nvars={nvars}")
-        exp = [0] * nvars
-        exp[index] = 1
-        return cls._raw(nvars, {tuple(exp): 1})
+        return cls._raw(nvars, {variable_field(nvars, index)[1]: 1})
 
     @classmethod
     def variables(cls, nvars: int) -> list["Poly"]:
@@ -160,40 +216,53 @@ class Poly:
 
     # -- inspection --------------------------------------------------------
 
-    def terms(self) -> list[tuple[Exponent, Fraction]]:
+    def _exponents(self, key: int) -> Exponent:
+        return tuple(key_exponents(key, self.nvars))
+
+    def terms(self) -> list[tuple[Exponent, Scalar]]:
         """Terms in canonical order (descending graded-lex)."""
-        return sorted(self._terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+        terms = self._terms
+        return [(self._exponents(k), terms[k]) for k in sorted(terms, reverse=True)]
 
     def iter_terms(self):
-        """Raw (exponent, coefficient) pairs in arbitrary order; no sorting."""
+        """Raw (monomial key, coefficient) pairs in arbitrary order; no
+        sorting.  Keys compare like graded-lex order; `monomial_key` gives
+        the key of an exponent tuple."""
         return self._terms.items()
 
     def coefficient(self, exponent: Exponent) -> Scalar:
-        return self._terms.get(tuple(exponent), 0)
+        try:
+            key = _pack(exponent, self.nvars)
+        except (DimensionError, ValueError, ResourceLimitError):
+            return 0  # a monomial no polynomial here can hold
+        return self._terms.get(key, 0)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        return max(sum(e) for e in self._terms)
+        return max(self._terms) >> FIELD_BITS * self.nvars
 
     def leading_monomial(self) -> Exponent:
         if not self._terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self._terms, key=grlex_key)
+        return self._exponents(max(self._terms))
 
     def leading_coefficient(self) -> Scalar:
-        return self._terms[self.leading_monomial()]
+        if not self._terms:
+            raise ValueError("zero polynomial has no leading monomial")
+        return self._terms[max(self._terms)]
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self._terms}
-        return len(degrees) <= 1
+        shift = FIELD_BITS * self.nvars
+        return len({k >> shift for k in self._terms}) <= 1
 
     def homogeneous_components(self) -> list[tuple[int, "Poly"]]:
         """(degree, component) pairs, ascending by degree."""
-        buckets: dict[int, dict[Exponent, Scalar]] = {}
-        for exp, c in self._terms.items():
-            buckets.setdefault(sum(exp), {})[exp] = c
+        shift = FIELD_BITS * self.nvars
+        buckets: dict[int, dict[int, Scalar]] = {}
+        for k, c in self._terms.items():
+            buckets.setdefault(k >> shift, {})[k] = c
         return [(d, Poly._raw(self.nvars, b)) for d, b in sorted(buckets.items())]
 
     def monomial_content(self) -> Exponent:
@@ -201,21 +270,20 @@ class Poly:
         monomial dividing every term.  Zero polynomial gives all zeros."""
         if not self._terms:
             return (0,) * self.nvars
-        mins = None
-        for exp in self._terms:
-            mins = exp if mins is None else tuple(map(min, mins, exp))
-        return mins
+        exps = [key_exponents(k, self.nvars) for k in self._terms]
+        return tuple(map(min, *exps) if len(exps) > 1 else exps[0])
 
     def divide_by_monomial(self, exponent: Exponent) -> "Poly":
         """Exact division by a monomial that divides every term."""
+        m = _pack(exponent, self.nvars)
+        divisor = key_exponents(m, self.nvars)
         out = {}
-        for exp, c in self._terms.items():
-            new = tuple(a - b for a, b in zip(exp, exponent))
-            if any(e < 0 for e in new):
+        for k, c in self._terms.items():
+            if any(map(lt, key_exponents(k, self.nvars), divisor)):
                 raise NotDivisibleError(
-                    f"monomial with exponents {exponent} does not divide {self}"
+                    f"monomial with exponents {tuple(exponent)} does not divide {self}"
                 )
-            out[new] = c
+            out[k - m] = c
         return Poly._raw(self.nvars, out)
 
     def content(self) -> Fraction:
@@ -227,13 +295,22 @@ class Poly:
         return Fraction(gcd(*nums), lcm(*dens)) if len(nums) > 1 else Fraction(nums[0], dens[0])
 
     def primitive_part(self) -> "Poly":
-        """Integer content removed, leading graded-lex coefficient positive."""
-        if not self._terms:
+        """Integer content removed, leading graded-lex coefficient positive.
+
+        With integer coefficients only, the content is their gcd and the
+        division is exact integer division.
+        """
+        terms = self._terms
+        if not terms:
             return self
+        negative = terms[max(terms)] < 0
+        if all(type(c) is int for c in terms.values()):
+            g = -gcd(*terms.values()) if negative else gcd(*terms.values())
+            if g == 1:
+                return self
+            return Poly._raw(self.nvars, {k: c // g for k, c in terms.items()})
         c = self.content()
-        if self.leading_coefficient() < 0:
-            c = -c
-        return self * (1 / c)
+        return self * (-1 / c if negative else 1 / c)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -253,19 +330,19 @@ class Poly:
             return NotImplemented
         self._check_same_ring(other)
         out = dict(self._terms)
-        for exp, c in other._terms.items():
-            prev = out.get(exp)
+        for k, c in other._terms.items():
+            prev = out.get(k)
             s = c if prev is None else prev + c
             if s:
-                out[exp] = s
+                out[k] = s
             else:
-                out.pop(exp, None)
+                out.pop(k, None)
         return Poly._raw(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._raw(self.nvars, {e: -c for e, c in self._terms.items()})
+        return Poly._raw(self.nvars, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -284,28 +361,36 @@ class Poly:
                 return Poly.zero(self.nvars)
             return Poly._raw(
                 self.nvars,
-                {e: _normalize_scalar(k * c) for e, k in self._terms.items()},
+                {k: _normalize_scalar(x * c) for k, x in self._terms.items()},
             )
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same_ring(other)
-        if not self._terms or not other._terms:
+        a, b = self._terms, other._terms
+        if not a or not b:
             return Poly.zero(self.nvars)
-        if self.total_degree() + other.total_degree() > DEGREE_CAP:
-            raise ResourceLimitError(
-                f"product degree {self.total_degree() + other.total_degree()} "
-                f"exceeds cap {DEGREE_CAP}"
-            )
-        out: dict[Exponent, Scalar] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                exp = tuple(a + b for a, b in zip(ea, eb))
-                prev = out.get(exp)
-                s = ca * cb if prev is None else prev + ca * cb
-                if s:
-                    out[exp] = s
-                else:
-                    del out[exp]
+        shift = FIELD_BITS * self.nvars
+        degree = (max(a) >> shift) + (max(b) >> shift)
+        cap = degree_cap()
+        if degree > cap:
+            raise ResourceLimitError(f"product degree {degree} exceeds cap {cap}")
+        # under the cap every exponent of the product is below FIELD_LIMIT,
+        # so the key of a product of monomials is the sum of their keys
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            [(kb, cb)] = b.items()
+            return Poly._raw(self.nvars, {ka + kb: ca * cb for ka, ca in a.items()})
+        out: dict[int, Scalar] = {}
+        get = out.get
+        items = list(a.items())
+        for kb, cb in b.items():
+            for ka, ca in items:
+                k = ka + kb
+                prev = get(k)
+                out[k] = ca * cb if prev is None else prev + ca * cb
+        if not all(out.values()):
+            out = {k: c for k, c in out.items() if c}
         return Poly._raw(self.nvars, out)
 
     __rmul__ = __mul__
@@ -344,14 +429,12 @@ class Poly:
         """Exact partial derivative with respect to x_(index+1); 0-based."""
         if not 0 <= index < self.nvars:
             raise DimensionError(f"variable index {index} out of range")
-        out: dict[Exponent, Scalar] = {}
-        for exp, c in self._terms.items():
-            e = exp[index]
-            if e == 0:
-                continue
-            new = list(exp)
-            new[index] = e - 1
-            out[tuple(new)] = c * e
+        shift, unit = variable_field(self.nvars, index)
+        out: dict[int, Scalar] = {}
+        for k, c in self._terms.items():
+            e = k >> shift & FIELD_LIMIT - 1
+            if e:
+                out[k - unit] = c * e
         return Poly._raw(self.nvars, out)
 
     def substitute(self, images: Sequence["Poly"]) -> "Poly":
@@ -377,12 +460,13 @@ class Poly:
                 cache[e] = power(i, e - 1) * images[i]
             return cache[e]
 
+        cap = degree_cap()
         result = Poly.zero(target_nvars)
-        for exp, c in self._terms.items():
+        for exp, c in self.terms():
             bound = sum(a * d for a, d in zip(exp, image_degrees))
-            if bound > DEGREE_CAP:
+            if bound > cap:
                 raise ResourceLimitError(
-                    f"substitution term degree bound {bound} exceeds cap {DEGREE_CAP}"
+                    f"substitution term degree bound {bound} exceeds cap {cap}"
                 )
             term = Poly.constant(target_nvars, c)
             for i, a in enumerate(exp):
@@ -404,9 +488,10 @@ class Poly:
         values = [_normalize_scalar(v) for v in point]
         powers: list[dict[int, Scalar]] = [{0: 1} for _ in values]
         sums: dict[int, Scalar] = {}
-        for exp, c in self._terms.items():
+        n, mask = self.nvars, (1 << FIELD_BITS * self.nvars) - 1
+        for k, c in self._terms.items():
             term = c.numerator
-            for e, v, cache in zip(exp, values, powers):
+            for e, v, cache in zip((k & mask).to_bytes(n, "big"), values, powers):
                 p = cache.get(e)
                 if p is None:
                     p = cache[e] = v**e
@@ -467,25 +552,44 @@ class Poly:
 
 
 def poly_divexact(numerator: Poly, divisor: Poly) -> Poly:
-    """Exact division; raises NotDivisibleError when divisor is no factor."""
+    """Exact division; raises NotDivisibleError when divisor is no factor.
+
+    The quotient and the remainder are dicts updated in place: each step
+    takes the leading term of the remainder (its largest key), divides it
+    by the divisor's leading term and subtracts that multiple of the
+    divisor, so a step costs one pass over the remainder and one over
+    the divisor.  Every monomial met has at most the numerator's degree,
+    which the degree cap bounds.
+    """
     if not divisor:
         raise ZeroDivisionError("division by the zero polynomial")
     numerator._check_same_ring(divisor)
     if not numerator:
         return numerator
-    quotient = Poly.zero(numerator.nvars)
-    remainder = numerator
-    lead_div = divisor.leading_monomial()
-    lead_coeff = divisor.leading_coefficient()
+    n = numerator.nvars
+    degree = numerator.total_degree()
+    cap = degree_cap()
+    if degree > cap:
+        raise ResourceLimitError(f"dividend degree {degree} exceeds cap {cap}")
+    lead = max(divisor._terms)
+    lead_coeff = divisor._terms[lead]
+    lead_exponents = key_exponents(lead, n)
+    # the other divisor terms, keyed relative to the leading one
+    rest = [(k - lead, c) for k, c in divisor._terms.items() if k != lead]
+    remainder = dict(numerator._terms)
+    quotient: dict[int, Scalar] = {}
     while remainder:
-        lead_rem = remainder.leading_monomial()
-        diff = tuple(a - b for a, b in zip(lead_rem, lead_div))
-        if any(d < 0 for d in diff):
+        top = max(remainder)
+        if any(map(lt, key_exponents(top, n), lead_exponents)):
             raise NotDivisibleError(f"{divisor} does not divide {numerator}")
-        factor = Poly(
-            numerator.nvars,
-            {diff: Fraction(remainder.leading_coefficient()) / lead_coeff},
-        )
-        quotient = quotient + factor
-        remainder = remainder - factor * divisor
-    return quotient
+        factor = _normalize_scalar(Fraction(remainder.pop(top)) / lead_coeff)
+        quotient[top - lead] = factor
+        for offset, c in rest:
+            k = top + offset
+            prev = remainder.get(k)
+            x = -factor * c if prev is None else prev - factor * c
+            if x:
+                remainder[k] = x
+            else:
+                del remainder[k]
+    return Poly._raw(n, quotient)

@@ -94,15 +94,17 @@ def isobaric_weight(f: Poly) -> int:
     return components[0][0]
 
 
-def commuting_derivation(f: Poly, n: int) -> Derivation:
+def commuting_derivation(f: Poly, n: int, D: Derivation | None = None) -> Derivation:
     """The derivation D^(n-1)(f)*d1 + ... + D(f)*d(n-1) + f*dn.
 
     Requires D^n(f) = 0 (order at most n-1 under the basic Weitzenboeck
-    derivation D); the result then commutes with D exactly.
+    derivation D); the result then commutes with D exactly.  D may be
+    passed in, so that a caller with many f builds it once.
     """
     if f.nvars != n:
         raise PreconditionError("polynomial variable count does not match n")
-    D = weitzenboeck_derivation(n)
+    if D is None:
+        D = weitzenboeck_derivation(n)
     chain = [f]
     for _ in range(n):
         chain.append(D(chain[-1]))
@@ -128,8 +130,10 @@ class GenElement:
     scale: Fraction
 
     def to_json(self) -> dict:
+        """The JSON form with `poly` left a Poly; cli.write_json writes it
+        from its terms (json.dumps needs default=lambda o: o.to_json())."""
         return {
-            "poly": self.poly.to_json(),
+            "poly": self.poly,
             "factors": [{"generator": g, "power": k} for g, k in self.factors],
             "scale": str(self.scale),
         }
@@ -146,10 +150,9 @@ class GeneratorSet:
         return [e.poly for e in self.elements]
 
     def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "elements": [e.to_json() for e in self.elements],
-        }
+        """The JSON form with the elements left as objects, written one at
+        a time."""
+        return {"level": self.level, "elements": self.elements}
 
 
 def generator_set(n: int, kernel_gens: Sequence[Poly], level: int) -> GeneratorSet:
@@ -170,38 +173,36 @@ def generator_set(n: int, kernel_gens: Sequence[Poly], level: int) -> GeneratorS
     dhat = sl2_triple(n).dhat if n >= 2 else None
     budget = level - 1
 
-    # alphabet[j] = (gen index, lowering power, nonzero image polynomial)
-    alphabet: list[tuple[int, int, Poly]] = []
+    # alphabet[j] = (gen index, lowering power, the integer-primitive part
+    # of the nonzero image, its signed content: image = content * part)
+    alphabet: list[tuple[int, int, Poly, Fraction]] = []
     for g_idx, g in enumerate(kernel_gens):
         image = g
         for k in range(1, budget + 1):
             image = dhat(image) if dhat is not None else Poly.zero(n)
             if not image:
                 break
-            alphabet.append((g_idx, k, image))
+            part = image.primitive_part()
+            content = Fraction(image.leading_coefficient()) / part.leading_coefficient()
+            alphabet.append((g_idx, k, part, content))
 
-    one = Poly.constant(n, 1)
-    raw: list[tuple[Poly, tuple[tuple[int, int], ...]]] = []
-
-    def extend(start: int, remaining: int, product: Poly,
-               factors: tuple[tuple[int, int], ...]) -> None:
-        raw.append((product, factors))
-        for j in range(start, len(alphabet)):
-            g_idx, k, image = alphabet[j]
-            if k > remaining:
-                continue
-            extend(j, remaining - k, product * image, factors + ((g_idx, k),))
-
-    extend(0, budget, one, ())
-
+    # A product of integer-primitive polynomials with positive leading
+    # coefficients is one too (Gauss's lemma), so the product of the parts
+    # is the primitive part of the product of the images, and the product
+    # of the contents is its scale.
+    # Depth first, each product before its extensions by alphabet[j] for
+    # j >= its last letter, in ascending j: the stack takes them in reverse.
     seen: dict[Poly, GenElement] = {}
-    for product, factors in raw:
-        normalized = product.primitive_part()
-        if normalized in seen:
-            continue
-        lead = normalized.leading_monomial()
-        scale = Fraction(product.coefficient(lead)) / normalized.coefficient(lead)
-        seen[normalized] = GenElement(normalized, factors, scale)
+    stack = [(0, budget, Poly.constant(n, 1), Fraction(1), ())]
+    while stack:
+        start, remaining, product, scale, factors = stack.pop()
+        if product not in seen:
+            seen[product] = GenElement(product, factors, scale)
+        for j in range(len(alphabet) - 1, start - 1, -1):
+            g_idx, k, part, content = alphabet[j]
+            if k <= remaining:
+                stack.append((j, remaining - k, product * part, scale * content,
+                              factors + ((g_idx, k),)))
 
     def order_key(el: GenElement):
         lead = el.poly.leading_monomial()
@@ -218,10 +219,9 @@ class CentralizerGenerator:
     derivation: Derivation
 
     def to_json(self) -> dict:
-        return {
-            "element": self.element.to_json(),
-            "derivation": self.derivation.to_json(),
-        }
+        """The JSON form with the element and the derivation left as
+        objects."""
+        return {"element": self.element, "derivation": self.derivation}
 
 
 def centralizer_generators(
@@ -241,10 +241,11 @@ def ladder_generators(n: int, S: GeneratorSet) -> list[CentralizerGenerator]:
     generators S was built from were not actually kernel elements and
     raises RegistryError.
     """
+    D = weitzenboeck_derivation(n)
     out = []
     for element in S.elements:
         try:
-            deriv = commuting_derivation(element.poly, n)
+            deriv = commuting_derivation(element.poly, n, D)
         except PreconditionError as exc:
             raise RegistryError(
                 f"generator-set element {element.poly} is not annihilated by "

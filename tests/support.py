@@ -5,10 +5,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 
 import dercent.verify
 from dercent.derivation import Derivation
-from dercent.errors import InternalInconsistencyError
+from dercent.errors import InternalInconsistencyError, NotDivisibleError
 from dercent.linalg import nullspace
 from dercent.linearder import linear_derivation, matrix_commutant
 from dercent.oracle import (
@@ -18,10 +19,10 @@ from dercent.oracle import (
     RankResult,
     symbolic_rank,
 )
-from dercent.poly import Poly, grlex_key, monomials_of_degree, poly_divexact
+from dercent.poly import Poly, monomials_of_degree, poly_divexact
 from dercent.ratfunc import RatFunc
 from dercent.registry import KernelEntry, load_registry, registry_to_json
-from dercent.weitzenboeck import monomial_weight
+from dercent.weitzenboeck import GenElement, GeneratorSet, monomial_weight, sl2_triple
 
 
 def random_exponent(rng: random.Random, nvars: int, max_degree: int) -> tuple:
@@ -141,7 +142,7 @@ def count_unit_applications(monkeypatch) -> Counter:
     apply = Derivation.__call__
 
     def call(D, p):
-        terms = list(p.iter_terms())
+        terms = p.terms()
         if building and len(terms) == 1 and terms[0][1] == 1:
             calls[terms[0][0]] += 1
         return apply(D, p)
@@ -164,7 +165,7 @@ def reference_evaluate(p: Poly, point) -> Fraction:
     """The term-by-term loop Poly.evaluate used before it summed per denominator."""
     values = [Fraction(v) for v in point]
     total = 0
-    for exp, c in p.iter_terms():
+    for exp, c in p.terms():
         term = c
         for e, v in zip(exp, values):
             if e:
@@ -248,7 +249,7 @@ def reference_derivation_span_equal(first, second) -> bool:
     everything = [*first, *second]
     coords = sorted(
         {(i, exp) for T in everything for i, c in enumerate(T.coeffs)
-         for exp, _ in c.iter_terms()},
+         for exp, _ in c.terms()},
         key=lambda im: (im[0], grlex_key(im[1])),
     )
 
@@ -504,3 +505,156 @@ def reference_rank_over_fractions(derivations, seed: int = 0) -> RankResult:
     if ranks[-1] == ranks[-2]:
         return RankResult(max(ranks), "sampled", tuple(points), tuple(ranks))
     return RankResult(symbolic_rank(coeff_matrix), "symbolic", tuple(points), tuple(ranks))
+
+
+# Tuple-keyed reference arithmetic: the loops dercent.poly and
+# dercent.derivation ran while terms were keyed by exponent tuples, before
+# monomials were packed into integer keys.  They work on plain dicts
+# {exponent tuple: nonzero coefficient}; `tuple_terms` reads a Poly that way.
+
+
+def grlex_key(exponent: tuple) -> tuple:
+    """Sort key realizing graded-lex order (total degree, then lex with
+    x1 > x2 > ...), the order monomial keys compare in."""
+    return (sum(exponent), exponent)
+
+
+def tuple_terms(p: Poly) -> dict:
+    return dict(p.terms())
+
+
+def reference_order(terms: dict) -> list:
+    """The terms in canonical order: descending graded-lex."""
+    return sorted(terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+
+
+def reference_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for exp, c in b.items():
+        s = out.get(exp, 0) + c
+        if s:
+            out[exp] = s
+        else:
+            out.pop(exp, None)
+    return out
+
+
+def reference_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exp = tuple(x + y for x, y in zip(ea, eb))
+            s = out.get(exp, 0) + ca * cb
+            if s:
+                out[exp] = s
+            else:
+                del out[exp]
+    return out
+
+
+def reference_partial(a: dict, index: int) -> dict:
+    out = {}
+    for exp, c in a.items():
+        if exp[index]:
+            new = list(exp)
+            new[index] -= 1
+            out[tuple(new)] = c * exp[index]
+    return out
+
+
+def reference_apply(coeffs: list[dict], f: dict) -> dict:
+    """sum_i coeffs[i] * df/dx_i, as Derivation.__call__'s fused loop did."""
+    acc: dict = {}
+    for i, c in enumerate(coeffs):
+        for exp, k in f.items():
+            e = exp[i]
+            if not e:
+                continue
+            for cexp, cc in c.items():
+                combined = [a + b for a, b in zip(exp, cexp)]
+                combined[i] -= 1
+                key = tuple(combined)
+                s = acc.get(key, 0) + k * e * cc
+                if s:
+                    acc[key] = s
+                else:
+                    del acc[key]
+    return acc
+
+
+def reference_primitive_part(a: dict) -> dict:
+    """Divide by the rational content, the sign making the grlex-leading
+    coefficient positive."""
+    if not a:
+        return {}
+    values = [Fraction(c) for c in a.values()]
+    nums = [abs(c.numerator) for c in values]
+    dens = [c.denominator for c in values]
+    content = Fraction(gcd(*nums), lcm(*dens))
+    if reference_order(a)[0][1] < 0:
+        content = -content
+    return {exp: Fraction(c) / content for exp, c in a.items()}
+
+
+def reference_divexact(numerator: Poly, divisor: Poly) -> Poly:
+    """The division loop poly_divexact ran before it kept its quotient and
+    remainder in dicts: each step rebuilds both as new Polys."""
+    if not divisor:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not numerator:
+        return numerator
+    quotient = Poly.zero(numerator.nvars)
+    remainder = numerator
+    lead_div = divisor.leading_monomial()
+    lead_coeff = divisor.leading_coefficient()
+    while remainder:
+        lead_rem = remainder.leading_monomial()
+        diff = tuple(a - b for a, b in zip(lead_rem, lead_div))
+        if any(d < 0 for d in diff):
+            raise NotDivisibleError(f"{divisor} does not divide {numerator}")
+        factor = Poly(
+            numerator.nvars,
+            {diff: Fraction(remainder.leading_coefficient()) / lead_coeff},
+        )
+        quotient = quotient + factor
+        remainder = remainder - factor * divisor
+    return quotient
+
+
+def reference_generator_set(n: int, kernel_gens, level: int) -> GeneratorSet:
+    """generator_set as it was before it multiplied integer-primitive
+    images: the raw products of the images, each normalized by
+    primitive_part, with scale = raw / normalized at the leading term."""
+    dhat = sl2_triple(n).dhat
+    budget = level - 1
+    alphabet = []
+    for g_idx, g in enumerate(kernel_gens):
+        image = g
+        for k in range(1, budget + 1):
+            image = dhat(image)
+            if not image:
+                break
+            alphabet.append((g_idx, k, image))
+    raw = []
+
+    def extend(start, remaining, product, factors):
+        raw.append((product, factors))
+        for j in range(start, len(alphabet)):
+            g_idx, k, image = alphabet[j]
+            if k <= remaining:
+                extend(j, remaining - k, product * image, factors + ((g_idx, k),))
+
+    extend(0, budget, Poly.constant(n, 1), ())
+    seen: dict = {}
+    for product, factors in raw:
+        normalized = product.primitive_part()
+        if normalized not in seen:
+            lead = normalized.leading_monomial()
+            scale = Fraction(product.coefficient(lead)) / normalized.coefficient(lead)
+            seen[normalized] = GenElement(normalized, factors, scale)
+
+    def order_key(el):
+        lead = el.poly.leading_monomial()
+        return (sum(lead), tuple(-e for e in lead))
+
+    return GeneratorSet(level, tuple(sorted(seen.values(), key=order_key)))

@@ -1,6 +1,7 @@
 """Command-line contract: payloads, formats, exit codes, reproducibility."""
 
 import argparse
+import gc
 import hashlib
 import io
 import json
@@ -16,7 +17,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import dercent
-from dercent import __version__, oracle
+from dercent import __version__, cli, oracle
 from dercent.cli import main, write_json
 from dercent.derivation import Derivation
 from dercent.linearder import (
@@ -28,7 +29,7 @@ from dercent.linearder import (
 )
 from dercent.poly import Poly
 from dercent.registry import KernelEntry, load_registry, registry_to_json
-from dercent.weitzenboeck import CentralizerGenerator, sl2_triple
+from dercent.weitzenboeck import CentralizerGenerator, GenElement, sl2_triple
 
 from support import count_calls, random_derivation, random_poly, write_registry
 
@@ -52,6 +53,8 @@ def write_inputs(directory):
     two independent ones and two combinations of them, so rank 2.
     `dec.json` takes the peel path of `decompose`; `solved.json`, with
     A = P J P^-1 and T = sum_j q_j * D_(A^j), the fraction-free solve.
+    `rescaled.json` is the packaged registry with each n=5 generator
+    multiplied by a rational, so the generator-set scales are fractions.
     """
     t = sl2_triple(4)
     (directory / "rank.json").write_text(
@@ -92,6 +95,10 @@ def write_inputs(directory):
     (directory / "solved.json").write_text(
         json.dumps({"derivation": T.to_json(), "matrix": matrix_to_json(a)})
     )
+    scales = [Fraction(-3, 4), Fraction(5, 2), Fraction(7, 3), Fraction(-1, 6),
+              Fraction(4, 9)]
+    write_registry(directory / "rescaled.json", 5,
+                   [g * c for g, c in zip(load_registry()[5].generators, scales)])
 
 
 class TestEnvelope:
@@ -282,6 +289,18 @@ class TestInputCommands:
         assert data["result"]["verified"] is True
         assert len(data["result"]["decomposition"]["coefficients"]) == 4
 
+    def test_exponent_past_the_field_width_is_a_resource_limit(self, capsys, tmp_path):
+        # an exponent field holds 0..255, so 300 is refused, not wrapped
+        # into the neighbouring field
+        big = {"nvars": 2, "terms": [{"coeff": "1", "exp": [300, 0]}]}
+        f = tmp_path / "big.json"
+        f.write_text(json.dumps({"left": Derivation.zero(2).to_json(),
+                                 "right": {"nvars": 2, "coeffs": [big, big]}}))
+        code, out, err = run_cli(capsys, "bracket", "--input", str(f))
+        assert code == 2
+        assert out == ""
+        assert "resource limit exceeded: " in err
+
     def test_malformed_json(self, capsys, tmp_path):
         f = tmp_path / "bad.json"
         f.write_text("{not json")
@@ -459,6 +478,15 @@ class TestPinnedOutput:
              "5644e5ea38dc7e96a44828e1bc4768c3b6df23c12f774036d8e56bf3a6600dc7"),
             (("oracle", "verify-prop1", "--n", "5", "--deg", "5"),
              "8232163365d6da4e7df07bc5a0e1fc1efa339f6190cc36797595a8e61416240f"),
+            # the largest construct ops (119,018,341 bytes for centralizer
+            # n=6), and a rescaled registry whose generator-set scales are
+            # fractions; recorded before monomials were packed into keys
+            (("centralizer", "--n", "6"),
+             "f451dda6a3476e61eb7edef35c695468194f95f96172e254301394e9887a6853"),
+            (("gens", "--n", "6", "--level", "6"),
+             "eb2839cd0ba7c81acc369ad42fd0f2346402d8b7d26a38fc222dac048ec9c1ed"),
+            (("centralizer", "--n", "5", "--registry", "rescaled.json"),
+             "30f8d98f9dc34524830b9ebb6ff677c0bd568cbf6fdb5fc9f0e8324f9a11e069"),
         ],
     )
     def test_stdout_digest(self, capsys, tmp_path, monkeypatch, argv, digest):
@@ -621,6 +649,71 @@ class TestJsonWriter:
 
         with pytest.raises(TypeError):
             written({"a": [Inexact()]})
+
+
+class TestPolyWriter:
+    """`write_json` writes each Poly from its terms, not from `to_json()`."""
+
+    def test_matches_stdlib_at_every_depth(self):
+        p = Poly(3, {(2, 0, 1): Fraction(-3, 4), (0, 0, 0): 5, (0, 255, 0): 1})
+        for obj in (p, [p], {"a": [{"b": (p, Poly.zero(3))}]}, Poly(0, {(): 2}),
+                    Poly.zero(0), Derivation((p, p, Poly.zero(3)))):
+            assert written(obj) == json.dumps(obj, indent=2, sort_keys=True,
+                                              default=lambda o: o.to_json()) + "\n"
+
+    def test_a_poly_larger_than_a_block_is_written_in_blocks(self):
+        p = (sum(Poly.variables(4), Poly.constant(4, 1))) ** 14
+        writes = []
+        write_json({"p": p}, writes.append)
+        assert "".join(writes) == json.dumps({"p": p.to_json()}, indent=2,
+                                             sort_keys=True) + "\n"
+        assert len("".join(writes)) > 2 * cli._BLOCK_CHARS
+        assert max(map(len, writes)) <= cli._BLOCK_CHARS
+
+    def test_reports_never_build_a_poly_tree(self, capsys, monkeypatch):
+        def refuse(self):
+            raise AssertionError("Poly.to_json called by the writer")
+
+        monkeypatch.setattr(Poly, "to_json", refuse)
+        for argv in (("centralizer", "--n", "4"), ("gens", "--n", "5"), ("sl2", "--n", "3")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, err
+            json.loads(out)
+
+    def test_leaves_no_cyclic_garbage(self):
+        # what a report's writer holds (its exponent texts) is freed when it
+        # returns, not at the next full garbage collection
+        report = {"polys": Poly.variables(3), "d": sl2_triple(3).d}
+        gc.collect()
+        gc.disable()
+        try:
+            assert written(report)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_gens_writes_its_set_one_element_at_a_time(self, monkeypatch):
+        events = []
+        to_json = GenElement.to_json
+
+        def spied_to_json(self):
+            events.append("encode")
+            return to_json(self)
+
+        class Spy(io.StringIO):
+            def write(self, s):
+                events.append("write")
+                return super().write(s)
+
+        monkeypatch.setattr(GenElement, "to_json", spied_to_json)
+        spy = Spy()
+        monkeypatch.setattr(sys, "stdout", spy)
+        assert main(["gens", "--n", "6", "--level", "4"]) == 0
+        last_encode = len(events) - 1 - events[::-1].index("encode")
+        assert events.index("write") < last_encode
+        assert hashlib.sha256(spy.getvalue().encode()).hexdigest() == (
+            "e0e320e3158635e7f67c0aeb733049afe78ace9467eda418dc182ce0b5d53481"
+        )
 
 
 class TestReportStreaming:

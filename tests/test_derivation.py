@@ -16,15 +16,16 @@ from dercent.derivation import (
     ratfunc_image_numerator,
     split_components,
 )
-from dercent.errors import DimensionError, PreconditionError
+import dercent.poly as poly_mod
+from dercent.errors import DimensionError, PreconditionError, ResourceLimitError
 from dercent.linearder import linear_derivation, matrix
 from dercent.oracle import centralizer_basis
 from dercent.poly import Poly
 from dercent.ratfunc import RatFunc
 from dercent.weitzenboeck import weitzenboeck_derivation
-from test_poly import poly_st
+from test_poly import keyed_poly_st, nvars_st, poly_st
 
-from support import random_derivation, random_poly
+from support import random_derivation, random_poly, reference_apply, tuple_terms
 
 x1, x2, x3 = Poly.variables(3)
 a2 = x1 * x3 - Fraction(1, 2) * x2**2
@@ -56,6 +57,27 @@ class TestApply:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             D3(Poly.variable(2, 0))
+
+
+class TestApplyAgainstTupleReference:
+    @given(data=st.data(), n=nvars_st)
+    def test_matches_the_tuple_keyed_loop(self, data, n):
+        D = Derivation(tuple(data.draw(keyed_poly_st(n, 8, max_terms=3)) for _ in range(n)))
+        f = data.draw(keyed_poly_st(n, 48))
+        expected = reference_apply([tuple_terms(c) for c in D.coeffs], tuple_terms(f))
+        assert tuple_terms(D(f)) == expected
+        assert D(f) == D(f)  # the kept action gives the same again
+
+    def test_image_past_the_cap_raises(self):
+        D = Derivation((x1**64, Poly.zero(3), Poly.zero(3)))
+        assert D(x1) == x1**64  # degree 64, at the cap
+        with pytest.raises(ResourceLimitError):
+            D(x1**2)  # degree 65
+
+    def test_cap_raised_past_the_field_width(self, monkeypatch):
+        monkeypatch.setattr(poly_mod, "DEGREE_CAP", poly_mod.FIELD_LIMIT)
+        with pytest.raises(ResourceLimitError):
+            D3(x3)
 
 
 class TestBracket:

@@ -10,14 +10,25 @@ from hypothesis import example, given, strategies as st
 import dercent.poly as poly_mod
 from dercent.errors import DimensionError, NotDivisibleError, ResourceLimitError
 from dercent.poly import (
+    FIELD_LIMIT,
     Poly,
-    grlex_key,
+    monomial_key,
     monomials_of_degree,
     monomials_up_to_degree,
     poly_divexact,
 )
 
-from support import reference_evaluate
+from support import (
+    grlex_key,
+    reference_add,
+    reference_divexact,
+    reference_evaluate,
+    reference_mul,
+    reference_order,
+    reference_partial,
+    reference_primitive_part,
+    tuple_terms,
+)
 
 x1, x2, x3 = Poly.variables(3)
 a2 = x1 * x3 - Fraction(1, 2) * x2**2
@@ -39,6 +50,28 @@ def poly_st(nvars=3, max_degree=3, max_terms=4):
 
     return st.builds(build, items)
 
+
+def exponent_st(nvars, max_degree):
+    """Exponent tuples of total degree <= max_degree, any split of it."""
+
+    def split(degree):
+        cuts = st.lists(st.integers(0, degree), min_size=nvars - 1, max_size=nvars - 1)
+        return cuts.map(lambda c: tuple(b - a for a, b in zip([0, *sorted(c)],
+                                                             [*sorted(c), degree])))
+
+    return st.integers(0, max_degree).flatmap(split)
+
+
+def keyed_poly_st(nvars, max_degree, max_terms=5, integral=False):
+    """Polys over many exponent shapes, up to half the degree cap or more;
+    int coefficients, or ints and fractions mixed."""
+    coeff = st.integers(-30, 30) if integral else st.one_of(st.integers(-30, 30),
+                                                            small_fraction())
+    terms = st.dictionaries(exponent_st(nvars, max_degree), coeff, max_size=max_terms)
+    return terms.map(lambda t: Poly(nvars, t))
+
+
+nvars_st = st.integers(1, 5)
 
 class TestArithmeticExamples:
     def test_additive_inverse(self):
@@ -310,3 +343,128 @@ def test_random_evaluation_consistency():
         point = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)]
         assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
         assert (a + b).evaluate(point) == a.evaluate(point) + b.evaluate(point)
+
+
+class TestPackedAgainstTupleReference:
+    """The packed-key core against the tuple-keyed loops it replaced."""
+
+    @given(data=st.data(), n=nvars_st)
+    def test_order(self, data, n):
+        p = data.draw(keyed_poly_st(n, 64, max_terms=8))
+        assert p.terms() == reference_order(tuple_terms(p))
+        if p:
+            lead, coeff = reference_order(tuple_terms(p))[0]
+            assert p.leading_monomial() == lead
+            assert p.leading_coefficient() == coeff
+            assert p.total_degree() == max(map(sum, tuple_terms(p)))
+
+    @given(data=st.data(), n=nvars_st)
+    def test_keys_compare_and_add_like_exponents(self, data, n):
+        a = data.draw(exponent_st(n, 32))
+        b = data.draw(exponent_st(n, 32))
+        assert (monomial_key(a) < monomial_key(b)) == (grlex_key(a) < grlex_key(b))
+        product = tuple(x + y for x, y in zip(a, b))
+        assert monomial_key(a) + monomial_key(b) == monomial_key(product)
+
+    @given(data=st.data(), n=nvars_st)
+    def test_ring_operations(self, data, n):
+        a = data.draw(keyed_poly_st(n, 32))
+        b = data.draw(keyed_poly_st(n, 32))
+        ta, tb = tuple_terms(a), tuple_terms(b)
+        assert tuple_terms(a + b) == reference_add(ta, tb)
+        assert tuple_terms(a - b) == reference_add(ta, {e: -c for e, c in tb.items()})
+        assert tuple_terms(a * b) == reference_mul(ta, tb)
+        assert tuple_terms(a * b) == tuple_terms(b * a)
+        assert a * (b + 1) == a * b + a
+
+    @given(data=st.data(), n=nvars_st)
+    def test_partial_derivative(self, data, n):
+        a = data.draw(keyed_poly_st(n, 64))
+        for i in range(n):
+            assert tuple_terms(a.partial_derivative(i)) == reference_partial(tuple_terms(a), i)
+
+    @given(data=st.data(), n=nvars_st, integral=st.booleans())
+    def test_primitive_part(self, data, n, integral):
+        a = data.draw(keyed_poly_st(n, 64, integral=integral))
+        assert tuple_terms(a.primitive_part()) == reference_primitive_part(tuple_terms(a))
+
+    @given(data=st.data(), n=nvars_st)
+    def test_divexact(self, data, n):
+        a = data.draw(keyed_poly_st(n, 16))
+        b = data.draw(keyed_poly_st(n, 16).filter(bool))
+        assert poly_divexact(a * b, b) == reference_divexact(a * b, b) == a
+        c = a * b + 1
+        try:
+            expected = reference_divexact(c, b)
+        except NotDivisibleError:
+            with pytest.raises(NotDivisibleError):
+                poly_divexact(c, b)
+        else:
+            assert poly_divexact(c, b) == expected
+
+    def test_divexact_with_a_long_quotient(self):
+        a, b = (x1 + x2 + x3 + 1) ** 6, x1 - Fraction(1, 2) * x3 + 2
+        assert poly_divexact(a * b, b) == reference_divexact(a * b, b) == a
+
+
+class TestSympyCrossCheck:
+    @given(data=st.data(), n=nvars_st)
+    def test_products_and_derivatives(self, data, n):
+        sympy = pytest.importorskip("sympy")
+        gens = sympy.symbols(f"y1:{n + 1}")
+
+        def to_sympy(p):
+            return sympy.Poly.from_dict(
+                {e: sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+                 for e, c in p.terms()} or {(0,) * n: 0}, *gens, domain="QQ")
+
+        def from_sympy(q):
+            return {e: Fraction(int(c.p), int(c.q)) for e, c in q.as_dict().items() if c}
+
+        a = data.draw(keyed_poly_st(n, 32))
+        b = data.draw(keyed_poly_st(n, 32))
+        assert tuple_terms(a * b) == from_sympy(to_sympy(a) * to_sympy(b))
+        for i in range(n):
+            assert tuple_terms(a.partial_derivative(i)) == from_sympy(
+                to_sympy(a).diff(gens[i]))
+        if a:
+            assert [e for e, _ in a.terms()] == [
+                e for e, _ in to_sympy(a).terms(order="grlex")]
+
+
+class TestFieldLimit:
+    """An exponent field holds 0..255; nothing may carry into its neighbour."""
+
+    def test_constructor_rejects_a_field_overflow(self):
+        assert Poly(2, {(FIELD_LIMIT - 1, 0): 1}).terms() == [((255, 0), 1)]
+        with pytest.raises(ResourceLimitError):
+            Poly(2, {(0, FIELD_LIMIT): 1})
+        with pytest.raises(ValueError):
+            Poly(2, {(1, -1): 1})
+
+    def test_from_json_rejects_a_field_overflow(self):
+        with pytest.raises(ResourceLimitError):
+            Poly.from_json({"nvars": 2, "terms": [{"coeff": "1", "exp": [300, 0]}]})
+
+    def test_products_up_to_the_cap_keep_their_fields(self):
+        assert (x3**32 * x3**32).terms() == [((0, 0, 64), 1)]
+        assert (x2**40 * (x1**24 + x3**24)).terms() == [((24, 40, 0), 1), ((0, 40, 24), 1)]
+
+    def test_cap_raised_within_the_field_width(self, monkeypatch):
+        monkeypatch.setattr(poly_mod, "DEGREE_CAP", FIELD_LIMIT - 1)
+        assert (x1**128 * x1**127).terms() == [((255, 0, 0), 1)]
+
+    def test_cap_raised_past_the_field_width(self, monkeypatch):
+        monkeypatch.setattr(poly_mod, "DEGREE_CAP", FIELD_LIMIT)
+        with pytest.raises(ResourceLimitError):
+            x1 * x2
+        with pytest.raises(ResourceLimitError):
+            poly_divexact(x1 * x2, x2)
+        with pytest.raises(ResourceLimitError):
+            x1.substitute([x2, x1, x3])
+
+    def test_divexact_past_the_cap(self, monkeypatch):
+        numerator = x1**10 * x2
+        monkeypatch.setattr(poly_mod, "DEGREE_CAP", 8)
+        with pytest.raises(ResourceLimitError):
+            poly_divexact(numerator, x2)

@@ -94,3 +94,12 @@ def test_linalg_hooks_accept_what_the_oracle_passes():
     for name in ("rref", "nullspace", "solve_many", "rank"):
         assert any(s.name == f"linalg.{name}" for s in tracer.spans), name
     assert tracer.counters["linalg.cells"] > 0
+
+
+def test_term_counts_read_the_packed_terms():
+    # the poly.mul and derivation.apply hooks count terms by len(p._terms)
+    from dercent.poly import Poly
+
+    x1, x2, x3 = Poly.variables(3)
+    for p in (Poly.zero(3), x1, (x1 + x2 * x3 - 2) ** 3, Poly(2, {(255, 0): 1})):
+        assert spans.nterms(p) == len(p.terms())

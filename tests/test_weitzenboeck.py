@@ -1,5 +1,6 @@
 """The constructive core: sl2 triple, weights, generator sets, centralizer."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -11,18 +12,26 @@ from dercent.linalg import solve_many
 from dercent.oracle import centralizer_basis
 from dercent.poly import Poly, monomials_up_to_degree
 from dercent.registry import registry_entry
+import dercent.weitzenboeck
 from dercent.weitzenboeck import (
     centralizer_generators,
     commuting_derivation,
     generator_set,
     isobaric_components,
     isobaric_weight,
+    ladder_generators,
     monomial_weight,
     sl2_triple,
     weitzenboeck_derivation,
 )
 
-from support import match_up_to_scalar, poly_scalar_multiple, random_poly
+from support import (
+    count_calls,
+    match_up_to_scalar,
+    poly_scalar_multiple,
+    random_poly,
+    reference_generator_set,
+)
 
 x1, x2, x3 = Poly.variables(3)
 a1 = x1
@@ -83,6 +92,15 @@ class TestWeights:
 
 
 class TestCommutingDerivation:
+    def test_ladders_of_a_set_share_one_derivation(self, monkeypatch):
+        S = generator_set(4, registry_entry(4).generators, 4)
+        builds = count_calls(monkeypatch, "weitzenboeck_derivation",
+                             module=dercent.weitzenboeck)
+        ladders = ladder_generators(4, S)
+        assert len(ladders) == len(S.elements) > 1
+        assert sum(builds.values()) == 1
+        assert all(g.derivation == commuting_derivation(g.element.poly, 4) for g in ladders)
+
     def test_constant(self):
         assert commuting_derivation(Poly.constant(3, 1), 3) == Derivation.partial(3, 2)
 
@@ -179,6 +197,36 @@ class TestGeneratorSet:
             for e in S.elements
         ]
         assert keys == sorted(keys)
+
+
+class TestIntegerPrimitiveProducts:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_same_set_as_the_normalized_raw_products(self, n):
+        # rational rescalings of the registry, so the scales are fractions
+        rng = random.Random(n)
+        gens = [g * Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                for g in registry_entry(n).generators]
+        for level in range(1, n + 1):
+            S = generator_set(n, gens, level)
+            expected = reference_generator_set(n, gens, level)
+            assert S == expected
+            # equal values of other types would still print differently
+            assert all(type(c) is int for e in S.elements for _, c in e.poly.terms())
+            assert all(type(e.scale) is Fraction for e in S.elements)
+
+
+class TestNoReferenceCycles:
+    def test_building_a_set_leaves_no_cyclic_garbage(self):
+        # its products (1315 elements at n=6) are freed with the set, not
+        # at the next full garbage collection
+        gens = registry_entry(4).generators
+        gc.collect()
+        gc.disable()
+        try:
+            assert generator_set(4, gens, 4).elements
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestCentralizerGenerators:
