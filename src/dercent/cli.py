@@ -27,7 +27,7 @@ from .linearder import (
     verify_decomposition,
 )
 from .oracle import kernel_power_basis, rank_over_fractions
-from .poly import FIELD_LIMIT, Poly, key_exponents
+from .poly import JSONText, Poly
 from .registry import registry_entry
 from .verify import VerificationRun, first_failure, run_verification
 from .weitzenboeck import (
@@ -79,12 +79,9 @@ def _config(args: argparse.Namespace) -> dict:
 
 # Output gathered before one write to stdout: a report is streamed in
 # blocks of at most this many pieces or about this many characters of
-# polynomial text, never joined into one string.
+# encoded polynomials, never joined into one string.
 _BLOCK_PIECES = 4096
 _BLOCK_CHARS = 1 << 16
-
-# The text of every exponent a monomial key can hold.
-_DIGITS = tuple(map(str, range(FIELD_LIMIT)))
 
 
 def write_json(obj, write) -> None:
@@ -93,68 +90,26 @@ def write_json(obj, write) -> None:
 
     `write` is called with joined blocks of about `_BLOCK_PIECES` pieces
     or `_BLOCK_CHARS` characters.  Dicts with `str` keys, lists, tuples,
-    `str`, `int`, `bool` and `None` are encoded as they are.  A `Poly` is
-    written straight from its terms, and a `Derivation` as its
-    coefficients, so neither builds its `to_json()` tree.  Any other
-    object with a `to_json()` method is encoded as what that method
-    returns, called when the writer reaches it, so each object's tree
-    lives only while it is written.  Anything else (floats included)
-    raises TypeError.
+    `str`, `int`, `bool` and `None` are encoded as they are.  A `Poly` or
+    a `Derivation` is written as the text its `to_json(text, level)`
+    encodes, with one JSONText for the whole document, so neither builds
+    its `to_json()` tree.  Any other object with a `to_json()` method is
+    encoded as what that method returns, called when the writer reaches
+    it, so each object's tree lives only while it is written.  Anything
+    else (floats included) raises TypeError.
     """
     out: list[str] = []
     append = out.append
-    # newline[k] opens line k levels deep; comma[k] ends an item there
-    newline = ["\n"]
-    comma = [",\n"]
-    # characters of polynomial text waiting in out
+    text = JSONText()
+    newline, comma = text.newline, text.comma
+    # characters of encoded polynomials waiting in out
     pending = 0
-    # (nvars, level) -> {monomial key: the text after a term's coefficient}
-    exponent_texts: dict[tuple[int, int], dict[int, str]] = {}
-
-    def indent(level: int) -> None:
-        while len(newline) <= level:
-            newline.append(newline[-1] + "  ")
-            comma.append(comma[-1] + "  ")
 
     def flush() -> None:
         nonlocal pending
         write("".join(out))
         out.clear()
         pending = 0
-
-    def poly_pieces(p: Poly, level: int) -> tuple[str, str, str]:
-        # {"nvars": n, "terms": [{"coeff": c, "exp": [...]}, ...]} in three
-        # pieces: up to the first coefficient, the terms, and the closing
-        n = p.nvars
-        indent(level + 4)
-        opening = ("{" + newline[level + 1] + '"nvars": ' + str(n) + comma[level + 1]
-                   + '"terms": ')
-        if not p:
-            return opening, "[]", newline[level] + "}"
-        texts = exponent_texts.get((n, level))
-        if texts is None:
-            texts = exponent_texts[(n, level)] = {}
-        # the text after a term's coefficient: its exponents, then the close
-        before = '",' + newline[level + 3] + '"exp": ['
-        between = comma[level + 4]
-        after = "]" + newline[level + 2] + "}"
-        if n:
-            before += newline[level + 4]
-            after = newline[level + 3] + after
-
-        def exponent_text(key: int) -> str:
-            exps = key_exponents(key, n)
-            text = texts[key] = before + between.join([_DIGITS[e] for e in exps]) + after
-            return text
-
-        coeffs = p.iter_terms().mapping  # the terms' dict, read-only
-        head = "{" + newline[level + 3] + '"coeff": "'
-        body = (comma[level + 2] + head).join(
-            [f"{coeffs[k]}{texts.get(k) or exponent_text(k)}"
-             for k in sorted(coeffs, reverse=True)]
-        )
-        return (opening + "[" + newline[level + 2] + head, body,
-                newline[level + 1] + "]" + newline[level] + "}")
 
     def encode(o, level: int) -> None:
         nonlocal pending
@@ -173,7 +128,7 @@ def write_json(obj, write) -> None:
                 append("{}" if isinstance(o, dict) else "[]")
                 return
             inner = level + 1
-            indent(inner)
+            text.indent(inner)
             sep = comma[inner]
             if isinstance(o, dict):
                 first = "{" + newline[inner]
@@ -196,19 +151,15 @@ def write_json(obj, write) -> None:
                     first = sep
                 append(newline[level])
                 append("]")
-        elif type(o) is Poly:
-            opening, body, closing = poly_pieces(o, level)
-            append(opening)
-            if len(body) > _BLOCK_CHARS:
+        elif isinstance(o, (Poly, Derivation)):
+            encoded = o.to_json(text, level)
+            if len(encoded) > _BLOCK_CHARS:
                 flush()
-                for i in range(0, len(body), _BLOCK_CHARS):
-                    write(body[i:i + _BLOCK_CHARS])
+                for i in range(0, len(encoded), _BLOCK_CHARS):
+                    write(encoded[i:i + _BLOCK_CHARS])
             else:
-                append(body)
-                pending += len(body)
-            append(closing)
-        elif type(o) is Derivation:
-            encode({"coeffs": o.coeffs, "nvars": o.nvars}, level)
+                append(encoded)
+                pending += len(encoded)
         elif hasattr(o, "to_json"):
             encode(o.to_json(), level)
         else:
@@ -224,7 +175,7 @@ def write_json(obj, write) -> None:
         flush()
     finally:
         # encode reaches itself through its closure; unbinding it breaks
-        # that cycle, so the exponent cache is freed now, not at the next
+        # that cycle, so the exponent texts are freed now, not at the next
         # full garbage collection
         del encode
 

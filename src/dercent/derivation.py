@@ -13,7 +13,16 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import DimensionError, PreconditionError, ResourceLimitError
-from .poly import FIELD_LIMIT, Poly, Scalar, degree_cap, parse_count, variable_field
+from .poly import (
+    FIELD_BITS,
+    FIELD_LIMIT,
+    JSONText,
+    Poly,
+    Scalar,
+    degree_cap,
+    parse_count,
+    variable_field,
+)
 from .ratfunc import RatFunc
 
 
@@ -58,7 +67,12 @@ class Derivation:
     # -- action and Lie structure -------------------------------------------
 
     def __call__(self, f: Poly) -> Poly:
-        """Apply to a polynomial: sum_i fi * df/dxi."""
+        """Apply to a polynomial: sum_i fi * df/dxi.
+
+        Raises ResourceLimitError when the image has a degree above
+        DEGREE_CAP, or when a product of a term of f with a term of some fi
+        would have degree FIELD_LIMIT or more, which no key can hold.
+        """
         if f.nvars != self.nvars:
             raise DimensionError(
                 f"polynomial has {f.nvars} variables, derivation {self.nvars}"
@@ -66,17 +80,29 @@ class Derivation:
         action, coeff_degree = self._action()
         if not f or not action:
             return Poly.zero(self.nvars)
-        degree = f.total_degree() - 1 + coeff_degree
         cap = degree_cap()
-        if degree > cap:
-            raise ResourceLimitError(f"derivation image degree {degree} exceeds cap {cap}")
-        # Fused partial-derivative / multiply / accumulate pass on monomial
-        # keys; this is the hottest loop in the package.  Under the cap no
-        # exponent field of a result key reaches FIELD_LIMIT.
-        acc: dict[int, Scalar] = {}
-        get = acc.get
+        # Every product of a term of f with a step has degree at most bound.
+        # A product of degree d has every field at most d: below FIELD_LIMIT
+        # its key k + offset is exact and its degree field reads d, from
+        # FIELD_LIMIT on that field reads d or more.  So once no product
+        # reaches FIELD_LIMIT every key is exact, and the image can pass
+        # the cap only if bound does.
+        bound = f.total_degree() - 1 + coeff_degree
+        top = FIELD_BITS * self.nvars
         mask = FIELD_LIMIT - 1
         fterms = f.iter_terms()
+        if bound >= FIELD_LIMIT and any(
+            (k + offset) >> top >= FIELD_LIMIT
+            for shift, offset, _ in action for k in fterms.mapping if k >> shift & mask
+        ):
+            raise ResourceLimitError(
+                f"derivation image term of degree {FIELD_LIMIT} or more exceeds "
+                f"cap {cap}"
+            )
+        # Fused partial-derivative / multiply / accumulate pass on monomial
+        # keys; this is the hottest loop in the package.
+        acc: dict[int, Scalar] = {}
+        get = acc.get
         for shift, offset, cc in action:
             for k, c in fterms:
                 e = k >> shift & mask
@@ -87,6 +113,10 @@ class Derivation:
                     acc[key] = val if prev is None else prev + val
         if not all(acc.values()):
             acc = {k: c for k, c in acc.items() if c}
+        if bound > cap and acc and max(acc) >> top > cap:
+            raise ResourceLimitError(
+                f"derivation image degree {max(acc) >> top} exceeds cap {cap}"
+            )
         return Poly._raw(self.nvars, acc)
 
     def _action(self) -> tuple[list[tuple[int, int, Scalar]], int]:
@@ -149,8 +179,24 @@ class Derivation:
 
     # -- serialization and display --------------------------------------------
 
-    def to_json(self) -> dict:
-        return {"nvars": self.nvars, "coeffs": [c.to_json() for c in self.coeffs]}
+    def to_json(self, text: JSONText | None = None, level: int = 0) -> dict | str:
+        """The JSON form {"nvars": n, "coeffs": [f1, ..., fn]}, each fi in
+        the form of `Poly.to_json`: a plain tree, or with `text` the
+        encoded text nested `level` levels deep."""
+        if text is None:
+            return {"nvars": self.nvars, "coeffs": [c.to_json() for c in self.coeffs]}
+        text.indent(level + 2)
+        newline, comma = text.newline, text.comma
+        closing = comma[level + 1] + '"nvars": ' + str(self.nvars) + newline[level] + "}"
+        if not self.coeffs:
+            return "{" + newline[level + 1] + '"coeffs": []' + closing
+        # one join copies each coefficient's text once
+        parts = []
+        for c in self.coeffs:
+            parts += (comma[level + 2], c.to_json(text, level + 2))
+        parts[0] = "{" + newline[level + 1] + '"coeffs": [' + newline[level + 2]
+        parts.append(newline[level + 1] + "]" + closing)
+        return "".join(parts)
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Derivation":

@@ -16,7 +16,10 @@ ResourceLimitError.  Exponent tuples remain the public form: the
 constructor takes them, and `terms()`, `coefficient`,
 `leading_monomial`, `monomial_content`, `to_json` and `str` speak them;
 only `iter_terms()` yields the stored keys, for callers that use them as
-ids (`monomial_key` gives the key of a tuple).
+ids (`monomial_key` gives the key of a tuple).  `to_json()` gives the
+JSON form as a tree; `to_json(text, level)` gives it encoded straight
+from the keys, each exponent's text built once per document by a
+`JSONText`, which is how reports are written.
 
 Product-like operations (mul, pow, substitute, and applying a
 derivation) guard against runaway degree growth through the module-level
@@ -502,13 +505,38 @@ class Poly:
 
     # -- serialization and display -----------------------------------------
 
-    def to_json(self) -> dict:
-        return {
-            "nvars": self.nvars,
-            "terms": [
-                {"coeff": str(c), "exp": list(e)} for e, c in self.terms()
-            ],
-        }
+    def to_json(self, text: JSONText | None = None, level: int = 0) -> dict | str:
+        """The JSON form {"nvars": n, "terms": [{"coeff": "c", "exp":
+        [e1, ..., en]}, ...]}, terms in canonical order.
+
+        Without `text`, a tree of dicts, lists, str and int.  With `text`,
+        the same value already encoded, as `json.dumps(tree, indent=2,
+        sort_keys=True)` writes it nested `level` levels deep; the text of
+        each exponent is taken from `text`, which builds it once.
+        """
+        if text is None:
+            return {
+                "nvars": self.nvars,
+                "terms": [
+                    {"coeff": str(c), "exp": list(e)} for e, c in self.terms()
+                ],
+            }
+        n = self.nvars
+        text.indent(level + 4)
+        newline, comma = text.newline, text.comma
+        opening = ("{" + newline[level + 1] + '"nvars": ' + str(n) + comma[level + 1]
+                   + '"terms": ')
+        terms = self._terms
+        if not terms:
+            return opening + "[]" + newline[level] + "}"
+        exponents = text.exponents(n, level)
+        head = "{" + newline[level + 3] + '"coeff": "'
+        pieces = [f"{terms[k]}{exponents[k]}" for k in sorted(terms, reverse=True)]
+        # the opening and the closing join the end terms, so that the one
+        # join copies the terms once
+        pieces[0] = opening + "[" + newline[level + 2] + head + pieces[0]
+        pieces[-1] += newline[level + 1] + "]" + newline[level] + "}"
+        return (comma[level + 2] + head).join(pieces)
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Poly":
@@ -549,6 +577,63 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+# The text of every exponent a monomial key can hold.
+_DIGITS = tuple(map(str, range(FIELD_LIMIT)))
+
+
+class _ExponentTexts(dict):
+    """Monomial key -> the text after a term's coefficient in the encoded
+    JSON of a poly in `nvars` variables: the closing quote, the exponent
+    list and the term's closing brace.  Built on first use of a key."""
+
+    def __init__(self, nvars: int, before: str, between: str, after: str):
+        super().__init__()
+        self.nvars, self.before, self.between, self.after = nvars, before, between, after
+
+    def __missing__(self, key: int) -> str:
+        exps = key_exponents(key, self.nvars)
+        text = self[key] = (self.before + self.between.join([_DIGITS[e] for e in exps])
+                            + self.after)
+        return text
+
+
+class JSONText:
+    """What `Poly.to_json(text, level)` reuses across the polys of one JSON
+    document: the line breaks of each nesting level and the text of each
+    exponent it has written.  Make one per document; it holds every
+    monomial the document's polys use, so it is not kept past it.
+    """
+
+    def __init__(self) -> None:
+        # newline[k] opens a line k levels deep; comma[k] ends an item there
+        self.newline = ["\n"]
+        self.comma = [",\n"]
+        self._exponents: dict[tuple[int, int], _ExponentTexts] = {}
+
+    def indent(self, level: int) -> None:
+        """Make newline[level] and comma[level] available."""
+        newline, comma = self.newline, self.comma
+        while len(newline) <= level:
+            newline.append(newline[-1] + "  ")
+            comma.append(comma[-1] + "  ")
+
+    def exponents(self, nvars: int, level: int) -> _ExponentTexts:
+        """The exponent texts of polys in nvars variables written `level`
+        levels deep; needs indent(level + 4)."""
+        texts = self._exponents.get((nvars, level))
+        if texts is None:
+            newline, comma = self.newline, self.comma
+            before = '",' + newline[level + 3] + '"exp": ['
+            after = "]" + newline[level + 2] + "}"
+            if nvars:
+                before += newline[level + 4]
+                after = newline[level + 3] + after
+            texts = self._exponents[(nvars, level)] = _ExponentTexts(
+                nvars, before, comma[level + 4], after
+            )
+        return texts
 
 
 def poly_divexact(numerator: Poly, divisor: Poly) -> Poly:

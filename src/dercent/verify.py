@@ -174,7 +174,7 @@ class VerificationRun:
         # exact enumeration, not the smaller kernel basis's monomial cap
         bound = centralizer_dimension_bound(self.D, self.degree, self.chain)
         ladders = [
-            commuting_derivation(f, self.n, self.D) for f in self.kernel(self.n).vectors
+            commuting_derivation(f, self.n) for f in self.kernel(self.n).vectors
         ]
         if bound == len(ladders) and all(T.commutes(self.D) for T in ladders):
             return True, bound, len(ladders)

@@ -13,6 +13,7 @@ as a Ker D-module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Sequence
 
@@ -21,8 +22,13 @@ from .errors import PreconditionError, RegistryError
 from .poly import Exponent, Poly
 
 
+@cache
 def weitzenboeck_derivation(n: int) -> Derivation:
-    """x1*d2 + x2*d3 + ... + x(n-1)*dn."""
+    """x1*d2 + x2*d3 + ... + x(n-1)*dn.
+
+    Built once per n: the value is immutable, and the action that applying
+    it builds is kept with it, so each ladder of a generator set reuses it.
+    """
     if n < 1:
         raise PreconditionError("n must be >= 1")
     coeffs = [Poly.zero(n)]
@@ -94,17 +100,15 @@ def isobaric_weight(f: Poly) -> int:
     return components[0][0]
 
 
-def commuting_derivation(f: Poly, n: int, D: Derivation | None = None) -> Derivation:
+def commuting_derivation(f: Poly, n: int) -> Derivation:
     """The derivation D^(n-1)(f)*d1 + ... + D(f)*d(n-1) + f*dn.
 
     Requires D^n(f) = 0 (order at most n-1 under the basic Weitzenboeck
-    derivation D); the result then commutes with D exactly.  D may be
-    passed in, so that a caller with many f builds it once.
+    derivation D); the result then commutes with D exactly.
     """
     if f.nvars != n:
         raise PreconditionError("polynomial variable count does not match n")
-    if D is None:
-        D = weitzenboeck_derivation(n)
+    D = weitzenboeck_derivation(n)
     chain = [f]
     for _ in range(n):
         chain.append(D(chain[-1]))
@@ -123,6 +127,10 @@ class GenElement:
     `scale` is the rational with raw = scale * poly.  `factors` lists
     (generator index, lowering power) pairs, repetition allowed; the
     empty tuple denotes the constant 1.
+
+    `to_json()` leaves `poly` a Poly, so its result is encoded with
+    `json.dumps(..., default=lambda o: o.to_json())` or `cli.write_json`,
+    which writes the poly from its terms when it reaches it.
     """
 
     poly: Poly
@@ -130,8 +138,7 @@ class GenElement:
     scale: Fraction
 
     def to_json(self) -> dict:
-        """The JSON form with `poly` left a Poly; cli.write_json writes it
-        from its terms (json.dumps needs default=lambda o: o.to_json())."""
+        """{"poly": Poly, "factors": [...], "scale": "c"}."""
         return {
             "poly": self.poly,
             "factors": [{"generator": g, "power": k} for g, k in self.factors],
@@ -141,7 +148,11 @@ class GenElement:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """Module generators for the kernel of D^level over Ker D."""
+    """Module generators for the kernel of D^level over Ker D.
+
+    `to_json()` leaves the elements as GenElements, encoded the same way
+    as theirs, so a writer turns them into JSON one at a time.
+    """
 
     level: int
     elements: tuple[GenElement, ...]
@@ -150,8 +161,7 @@ class GeneratorSet:
         return [e.poly for e in self.elements]
 
     def to_json(self) -> dict:
-        """The JSON form with the elements left as objects, written one at
-        a time."""
+        """{"level": level, "elements": (GenElement, ...)}."""
         return {"level": self.level, "elements": self.elements}
 
 
@@ -213,14 +223,17 @@ def generator_set(n: int, kernel_gens: Sequence[Poly], level: int) -> GeneratorS
 
 @dataclass(frozen=True)
 class CentralizerGenerator:
-    """A module generator of the centralizer, with its source element."""
+    """A module generator of the centralizer, with its source element.
+
+    `to_json()` leaves the element and the derivation as objects, encoded
+    the same way as GenElement's.
+    """
 
     element: GenElement
     derivation: Derivation
 
     def to_json(self) -> dict:
-        """The JSON form with the element and the derivation left as
-        objects."""
+        """{"element": GenElement, "derivation": Derivation}."""
         return {"element": self.element, "derivation": self.derivation}
 
 
@@ -241,11 +254,10 @@ def ladder_generators(n: int, S: GeneratorSet) -> list[CentralizerGenerator]:
     generators S was built from were not actually kernel elements and
     raises RegistryError.
     """
-    D = weitzenboeck_derivation(n)
     out = []
     for element in S.elements:
         try:
-            deriv = commuting_derivation(element.poly, n, D)
+            deriv = commuting_derivation(element.poly, n)
         except PreconditionError as exc:
             raise RegistryError(
                 f"generator-set element {element.poly} is not annihilated by "

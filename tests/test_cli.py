@@ -652,7 +652,7 @@ class TestJsonWriter:
 
 
 class TestPolyWriter:
-    """`write_json` writes each Poly from its terms, not from `to_json()`."""
+    """`write_json` writes each Poly as the text of `to_json(text, level)`."""
 
     def test_matches_stdlib_at_every_depth(self):
         p = Poly(3, {(2, 0, 1): Fraction(-3, 4), (0, 0, 0): 5, (0, 255, 0): 1})
@@ -671,14 +671,19 @@ class TestPolyWriter:
         assert max(map(len, writes)) <= cli._BLOCK_CHARS
 
     def test_reports_never_build_a_poly_tree(self, capsys, monkeypatch):
-        def refuse(self):
-            raise AssertionError("Poly.to_json called by the writer")
+        # every Poly and Derivation is encoded through to_json(text, level)
+        calls = []
+        for cls in (Poly, Derivation):
+            def spied_to_json(self, text=None, level=0, to_json=cls.to_json):
+                calls.append(text)
+                return to_json(self, text, level)
 
-        monkeypatch.setattr(Poly, "to_json", refuse)
+            monkeypatch.setattr(cls, "to_json", spied_to_json)
         for argv in (("centralizer", "--n", "4"), ("gens", "--n", "5"), ("sl2", "--n", "3")):
             code, out, err = run_cli(capsys, *argv)
             assert code == 0, err
             json.loads(out)
+        assert calls and None not in calls
 
     def test_leaves_no_cyclic_garbage(self):
         # what a report's writer holds (its exponent texts) is freed when it

@@ -1,5 +1,6 @@
 """Derivations: action, bracket, order, index, conjugation, splitting."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ import dercent.poly as poly_mod
 from dercent.errors import DimensionError, PreconditionError, ResourceLimitError
 from dercent.linearder import linear_derivation, matrix
 from dercent.oracle import centralizer_basis
-from dercent.poly import Poly
+from dercent.poly import JSONText, Poly
 from dercent.ratfunc import RatFunc
 from dercent.weitzenboeck import weitzenboeck_derivation
 from test_poly import keyed_poly_st, nvars_st, poly_st
@@ -73,6 +74,22 @@ class TestApplyAgainstTupleReference:
         assert D(x1) == x1**64  # degree 64, at the cap
         with pytest.raises(ResourceLimitError):
             D(x1**2)  # degree 65
+
+    def test_only_the_image_is_held_to_the_cap(self):
+        # x1^64 d2 annihilates x1^2, and terms past the cap may cancel
+        D = Derivation((Poly.zero(3), x1**64, Poly.zero(3)))
+        assert D(x1**2) == Poly.zero(3)
+        with pytest.raises(ResourceLimitError):
+            D(x2**2)  # 2*x1^64*x2, degree 65
+        E = Derivation((x2 * x1**63, -(x1**64), Poly.zero(3)))
+        assert E(x1**2 + x2**2) == Poly.zero(3)
+
+    def test_a_product_past_the_field_width_raises(self):
+        # x1^200 d2 on x1^100*x2 would need a key for x1^300
+        D = Derivation((Poly.zero(3), Poly(3, {(200, 0, 0): 1}), Poly.zero(3)))
+        assert D(Poly(3, {(100, 0, 0): 1})) == Poly.zero(3)
+        with pytest.raises(ResourceLimitError):
+            D(Poly(3, {(100, 1, 0): 1}))
 
     def test_cap_raised_past_the_field_width(self, monkeypatch):
         monkeypatch.setattr(poly_mod, "DEGREE_CAP", poly_mod.FIELD_LIMIT)
@@ -266,3 +283,8 @@ class TestProperties:
     @given(T=derivation_st())
     def test_json_round_trip(self, T):
         assert Derivation.from_json(T.to_json()) == T
+
+    @given(T=derivation_st())
+    def test_text_form_encodes_the_tree(self, T):
+        expected = json.dumps(T.to_json(), indent=2, sort_keys=True)
+        assert T.to_json(JSONText(), 1) == expected.replace("\n", "\n  ")

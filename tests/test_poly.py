@@ -11,6 +11,7 @@ import dercent.poly as poly_mod
 from dercent.errors import DimensionError, NotDivisibleError, ResourceLimitError
 from dercent.poly import (
     FIELD_LIMIT,
+    JSONText,
     Poly,
     monomial_key,
     monomials_of_degree,
@@ -272,6 +273,13 @@ class TestJson:
 
     def test_zero(self):
         assert Poly.from_json(Poly.zero(3).to_json()) == Poly.zero(3)
+
+    def test_text_form_encodes_the_tree(self):
+        text = JSONText()  # shared, so later polys reuse exponent texts
+        for p in (a2, a2 * x1 - 3, Poly.zero(3), Poly(0, {(): 2}), Poly.zero(0)):
+            for level in (0, 2):
+                expected = json.dumps(p.to_json(), indent=2, sort_keys=True)
+                assert p.to_json(text, level) == expected.replace("\n", "\n" + "  " * level)
 
 
 class TestMonomialEnumeration:
