@@ -15,9 +15,6 @@ from .derivation import (
     PolyAutomorphism,
     annihilates_ratfunc,
     conjugate,
-    d_order,
-    index,
-    split_components,
 )
 from .errors import (
     DimensionError,
@@ -28,13 +25,11 @@ from .errors import (
     ResourceLimitError,
 )
 from .linearder import (
-    CommutantBasis,
     FDecomposition,
     decompose_over_constants,
     jordan_nilpotent,
     linear_derivation,
     matrix_commutant,
-    nilpotent_power_derivations,
     verify_decomposition,
 )
 from .oracle import (
@@ -59,7 +54,6 @@ from .weitzenboeck import (
     commuting_derivation,
     generator_set,
     isobaric_components,
-    isobaric_weight,
     monomial_weight,
     sl2_triple,
     weitzenboeck_derivation,
@@ -68,7 +62,6 @@ from .weitzenboeck import (
 __all__ = [
     "__version__",
     "CentralizerGenerator",
-    "CommutantBasis",
     "Derivation",
     "DimensionError",
     "FDecomposition",
@@ -90,13 +83,10 @@ __all__ = [
     "centralizer_generators",
     "commuting_derivation",
     "conjugate",
-    "d_order",
     "decompose_over_constants",
     "derivation_span_equal",
     "generator_set",
-    "index",
     "isobaric_components",
-    "isobaric_weight",
     "jordan_nilpotent",
     "kernel_generator_candidates",
     "kernel_power_basis",
@@ -105,12 +95,10 @@ __all__ = [
     "matrix_commutant",
     "module_span_check",
     "monomial_weight",
-    "nilpotent_power_derivations",
     "poly_divexact",
     "rank_over_fractions",
     "registry_entry",
     "sl2_triple",
-    "split_components",
     "symbolic_rank",
     "verify_decomposition",
     "weitzenboeck_derivation",

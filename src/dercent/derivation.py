@@ -1,9 +1,9 @@
 """Polynomial derivations of K[x1..xn] as first-class values.
 
 A derivation is determined by its coefficient vector (f1, ..., fn) and
-acts as f1*d/dx1 + ... + fn*d/dxn.  The Lie bracket, commutation tests,
-nilpotency order, conjugation by polynomial automorphisms and coordinate
-splitting all operate exactly.
+acts as f1*d/dx1 + ... + fn*d/dxn.  Application, the Lie bracket,
+commutation tests and conjugation by polynomial automorphisms all operate
+exactly.
 """
 
 from __future__ import annotations
@@ -51,6 +51,8 @@ class Derivation:
     @classmethod
     def partial(cls, nvars: int, index: int) -> "Derivation":
         """The coordinate derivation d/dx_(index+1); index is 0-based."""
+        if not 0 <= index < nvars:
+            raise DimensionError(f"variable index {index} out of range for nvars={nvars}")
         coeffs = [Poly.zero(nvars) for _ in range(nvars)]
         coeffs[index] = Poly.constant(nvars, 1)
         return cls(tuple(coeffs))
@@ -222,52 +224,6 @@ class Derivation:
         return f"Derivation({self})"
 
 
-def d_order(D: Derivation, f: Poly, bound: int | None = None) -> int | None:
-    """Smallest k with D^k(f) != 0 and D^(k+1)(f) = 0.
-
-    Returns -1 for f = 0 (so filtration code stays total) and None when
-    D^(bound+1)(f) is still nonzero, which witnesses non-nilpotency up to
-    the bound rather than looping forever.  The default bound covers any
-    derivation that strictly shifts variables down.
-    """
-    if not f:
-        return -1
-    if bound is None:
-        bound = D.nvars * max(0, f.total_degree()) + 1
-    if bound < 1:
-        raise PreconditionError("bound must be >= 1")
-    g = f
-    for k in range(bound + 1):
-        h = D(g)
-        if not h:
-            return k
-        g = h
-    return None
-
-
-def index(D: Derivation) -> tuple[int, int]:
-    """(number of nonzero coefficients, 1-based position of the first).
-
-    Both readings of the index of a nonzero derivation; raises on zero
-    input since the first nonzero position is undefined there.
-    """
-    positions = [i + 1 for i, c in enumerate(D.coeffs) if c]
-    if not positions:
-        raise PreconditionError("index of the zero derivation is undefined")
-    return (len(positions), positions[0])
-
-
-def split_components(T: Derivation, k: int) -> tuple[Derivation, Derivation]:
-    """Split into sum_{i<=k} gi*di and sum_{i>k} gi*di; k is 1-based."""
-    n = T.nvars
-    if not 1 <= k < n:
-        raise PreconditionError(f"split position {k} out of range 1..{n - 1}")
-    zero = Poly.zero(n)
-    first = Derivation(tuple(c if i < k else zero for i, c in enumerate(T.coeffs)))
-    second = Derivation(tuple(zero if i < k else c for i, c in enumerate(T.coeffs)))
-    return first, second
-
-
 @dataclass(frozen=True)
 class PolyAutomorphism:
     """A polynomial coordinate change with a verified inverse.
@@ -335,11 +291,7 @@ def conjugate(D: Derivation, phi: PolyAutomorphism) -> Derivation:
     )
 
 
-def ratfunc_image_numerator(D: Derivation, phi: RatFunc) -> Poly:
-    """Numerator of D(num/den) by the quotient rule: D(p)q - p D(q)."""
-    return D(phi.num) * phi.den - phi.num * D(phi.den)
-
-
 def annihilates_ratfunc(D: Derivation, phi: RatFunc) -> bool:
-    """Exact test that phi is a constant of D (D(phi) = 0)."""
-    return not ratfunc_image_numerator(D, phi)
+    """Exact test that phi is a constant of D (D(phi) = 0): the numerator
+    D(p)q - p D(q) of D(p/q) by the quotient rule vanishes."""
+    return D(phi.num) * phi.den == phi.num * D(phi.den)

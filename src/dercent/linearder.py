@@ -2,10 +2,9 @@
 
 A linear derivation sum a_ij x_j d/dx_i is stored as the exact rational
 matrix (a_ij).  This module computes the commutant of a matrix inside
-the full matrix algebra, the derivations attached to powers of the
-nilpotent lower-shift matrix, and the decomposition of any polynomial
-derivation commuting with a linear one into rational-constant multiples
-of commutant elements.
+the full matrix algebra, as a tuple of basis matrices, and the
+decomposition of any polynomial derivation commuting with a linear one
+into rational-constant multiples of commutant elements.
 """
 
 from __future__ import annotations
@@ -105,17 +104,7 @@ def linear_derivation(a: MatrixQ) -> Derivation:
     return Derivation(tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class CommutantBasis:
-    """Linearly independent matrices spanning {B : AB = BA}."""
-
-    matrices: tuple[MatrixQ, ...]
-
-    def __len__(self) -> int:
-        return len(self.matrices)
-
-
-def matrix_commutant(a: MatrixQ) -> CommutantBasis:
+def matrix_commutant(a: MatrixQ) -> tuple[MatrixQ, ...]:
     """Exact basis of the commutant of `a`, via the n^2 x n^2 linear system.
 
     Unknowns are the entries of B in row-major order; the output basis is
@@ -131,22 +120,10 @@ def matrix_commutant(a: MatrixQ) -> CommutantBasis:
                 row[i * n + k] = row.get(i * n + k, 0) - a[k][j]
             rows.append(row)
     basis_vectors = linalg.nullspace(rows, n * n)
-    matrices = tuple(
+    return tuple(
         tuple(tuple(v.get(i * n + j, Fraction(0)) for j in range(n)) for i in range(n))
         for v in basis_vectors
     )
-    return CommutantBasis(matrices)
-
-
-def nilpotent_power_derivations(n: int) -> list[Derivation]:
-    """Derivations of the powers N^0..N^(n-1) of the lower-shift matrix.
-
-    The k-th entry is x1*d(k+1) + x2*d(k+2) + ... + x(n-k)*dn; the
-    zeroth is the Euler derivation.
-    """
-    if n < 1:
-        raise PreconditionError("n must be >= 1")
-    return [linear_derivation(power) for power in shift_powers(n)]
 
 
 @dataclass(frozen=True)
@@ -160,13 +137,13 @@ class FDecomposition:
     """
 
     derivation: Derivation
-    basis: CommutantBasis
+    basis: tuple[MatrixQ, ...]
     coefficients: tuple[RatFunc, ...]
 
     def to_json(self) -> dict:
         return {
             "derivation": self.derivation.to_json(),
-            "basis": [matrix_to_json(m) for m in self.basis.matrices],
+            "basis": [matrix_to_json(m) for m in self.basis],
             "coefficients": [c.to_json() for c in self.coefficients],
         }
 
@@ -175,7 +152,7 @@ def _is_nilpotent_jordan_block(a: MatrixQ) -> bool:
     return a == jordan_nilpotent(len(a))
 
 
-def _peel_jordan_block(T: Derivation) -> tuple[CommutantBasis, tuple[RatFunc, ...]]:
+def _peel_jordan_block(T: Derivation) -> tuple[tuple[MatrixQ, ...], tuple[RatFunc, ...]]:
     """Triangular peeling against the shift-power derivations.
 
     Solving g_i = sum_{k<=i} phi_k x_(i-k+1) top down gives every phi_k
@@ -197,7 +174,7 @@ def _peel_jordan_block(T: Derivation) -> tuple[CommutantBasis, tuple[RatFunc, ..
             p = p - nums[k] * xs[i - k] * x1_powers[i - 1 - k]
         nums.append(p)
         phis.append(RatFunc(p, x1_powers[i + 1]))
-    return CommutantBasis(tuple(shift_powers(n))), tuple(phis)
+    return tuple(shift_powers(n)), tuple(phis)
 
 
 def decompose_over_constants(T: Derivation, a: MatrixQ) -> FDecomposition:
@@ -224,7 +201,7 @@ def decompose_over_constants(T: Derivation, a: MatrixQ) -> FDecomposition:
         basis, phis = _peel_jordan_block(T)
     else:
         basis = matrix_commutant(a)
-        columns = [linear_derivation(b).coeffs for b in basis.matrices]
+        columns = [linear_derivation(b).coeffs for b in basis]
         m = len(columns)
         rows = [[col[i] for col in columns] + [T.coeffs[i]] for i in range(n)]
         pivots = linalg.fraction_free_eliminate(rows, m)
@@ -256,7 +233,7 @@ def verify_decomposition(dec: FDecomposition, D: Derivation) -> bool:
     adds nothing.
     """
     n = dec.derivation.nvars
-    if len(dec.coefficients) != len(dec.basis.matrices):
+    if len(dec.coefficients) != len(dec.basis):
         return False
     for phi in dec.coefficients:
         if not annihilates_ratfunc(D, phi):
@@ -275,7 +252,7 @@ def verify_decomposition(dec: FDecomposition, D: Derivation) -> bool:
     cofactors = {d: prod((e for e in dens if e is not d), start=one) for d in dens}
     terms = [
         (num * cofactors[prim], linear_derivation(b))
-        for num, prim, b in zip(nums, prims, dec.basis.matrices)
+        for num, prim, b in zip(nums, prims, dec.basis)
         if num
     ]
     for i in range(n):

@@ -320,20 +320,25 @@ def kernel_dimension_bounds(
 def _multiplier_exponents(
     gen_degrees: Sequence[int], budget: int
 ) -> list[tuple[int, ...]]:
-    """Exponent vectors e with sum e_g * deg_g <= budget."""
+    """Exponent vectors e with sum e_g * deg_g <= budget, the first
+    exponent varying slowest and each exponent ascending."""
+    count = len(gen_degrees)
+    if count == 0:
+        return [()]
     out: list[tuple[int, ...]] = []
-
-    def rec(i: int, prefix: tuple[int, ...], remaining: int) -> None:
-        if i == len(gen_degrees):
-            out.append(prefix)
-            return
-        step = gen_degrees[i]
-        e = 0
-        while e * step <= remaining:
-            rec(i + 1, prefix + (e,), remaining - e * step)
-            e += 1
-
-    rec(0, (), budget)
+    # depth first over the leading exponents, the smallest popped first
+    stack: list[tuple[tuple[int, ...], int]] = [((), budget)]
+    while stack:
+        prefix, remaining = stack.pop()
+        i = len(prefix)
+        if i == count - 1:
+            out += [prefix + (e,) for e in range(remaining // gen_degrees[i] + 1)]
+        elif not remaining:
+            out.append(prefix + (0,) * (count - i))
+        else:
+            step = gen_degrees[i]
+            stack += [(prefix + (e,), remaining - e * step)
+                      for e in range(remaining // step, -1, -1)]
     return out
 
 

@@ -144,16 +144,20 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Exponent]:
     """All exponent tuples of the given total degree, largest grlex first."""
     if nvars == 0:
         return [()] if degree == 0 else []
+    if nvars == 1:
+        return [(degree,)]
     out: list[Exponent] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), degree, nvars)
+    # depth first over the leading exponents, the largest popped first
+    stack: list[tuple[tuple[int, ...], int]] = [((), degree)]
+    while stack:
+        prefix, remaining = stack.pop()
+        slots = nvars - len(prefix)
+        if slots == 2:
+            out += [prefix + (e, remaining - e) for e in range(remaining, -1, -1)]
+        elif not remaining:
+            out.append(prefix + (0,) * slots)
+        else:
+            stack += [(prefix + (e,), remaining - e) for e in range(remaining + 1)]
     return out
 
 
@@ -259,14 +263,6 @@ class Poly:
     def is_homogeneous(self) -> bool:
         shift = FIELD_BITS * self.nvars
         return len({k >> shift for k in self._terms}) <= 1
-
-    def homogeneous_components(self) -> list[tuple[int, "Poly"]]:
-        """(degree, component) pairs, ascending by degree."""
-        shift = FIELD_BITS * self.nvars
-        buckets: dict[int, dict[int, Scalar]] = {}
-        for k, c in self._terms.items():
-            buckets.setdefault(k >> shift, {})[k] = c
-        return [(d, Poly._raw(self.nvars, b)) for d, b in sorted(buckets.items())]
 
     def monomial_content(self) -> Exponent:
         """Componentwise minimum exponent over all terms; the largest
@@ -426,19 +422,7 @@ class Poly:
             )
         return self._hash
 
-    # -- calculus and evaluation -------------------------------------------
-
-    def partial_derivative(self, index: int) -> "Poly":
-        """Exact partial derivative with respect to x_(index+1); 0-based."""
-        if not 0 <= index < self.nvars:
-            raise DimensionError(f"variable index {index} out of range")
-        shift, unit = variable_field(self.nvars, index)
-        out: dict[int, Scalar] = {}
-        for k, c in self._terms.items():
-            e = k >> shift & FIELD_LIMIT - 1
-            if e:
-                out[k - unit] = c * e
-        return Poly._raw(self.nvars, out)
+    # -- substitution and evaluation ----------------------------------------
 
     def substitute(self, images: Sequence["Poly"]) -> "Poly":
         """Ring-homomorphic substitution x_i -> images[i]."""

@@ -92,14 +92,6 @@ def isobaric_components(f: Poly) -> list[tuple[int, Poly]]:
     ]
 
 
-def isobaric_weight(f: Poly) -> int:
-    """Weight of a nonzero isobaric polynomial; raises on mixed weights."""
-    components = isobaric_components(f)
-    if len(components) != 1:
-        raise PreconditionError(f"polynomial is not isobaric: {f}")
-    return components[0][0]
-
-
 def commuting_derivation(f: Poly, n: int) -> Derivation:
     """The derivation D^(n-1)(f)*d1 + ... + D(f)*d(n-1) + f*dn.
 

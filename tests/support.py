@@ -352,7 +352,7 @@ def reference_solve_ratfunc_system(
 def reference_decompose(T: Derivation, a) -> list[RatFunc]:
     """The coefficients decompose_over_constants gave off the peel path."""
     n = T.nvars
-    basis_derivs = [linear_derivation(b) for b in matrix_commutant(a).matrices]
+    basis_derivs = [linear_derivation(b) for b in matrix_commutant(a)]
     rows = [[RatFunc.from_poly(bd.coeffs[i]) for bd in basis_derivs] for i in range(n)]
     rhs = [RatFunc.from_poly(T.coeffs[i]) for i in range(n)]
     return reference_solve_ratfunc_system(rows, rhs, n)
@@ -658,3 +658,42 @@ def reference_generator_set(n: int, kernel_gens, level: int) -> GeneratorSet:
         return (sum(lead), tuple(-e for e in lead))
 
     return GeneratorSet(level, tuple(sorted(seen.values(), key=order_key)))
+
+
+# The recursive enumerations that `poly.monomials_of_degree` and
+# `oracle._multiplier_exponents` replaced: they recursed once per variable
+# and once per generator.  The loops must give the same lists in the same
+# order.
+
+
+def reference_monomials_of_degree(nvars: int, degree: int) -> list[tuple]:
+    if nvars == 0:
+        return [()] if degree == 0 else []
+    out: list[tuple] = []
+
+    def rec(prefix: tuple, remaining: int, slots: int) -> None:
+        if slots == 1:
+            out.append(prefix + (remaining,))
+            return
+        for e in range(remaining, -1, -1):
+            rec(prefix + (e,), remaining - e, slots - 1)
+
+    rec((), degree, nvars)
+    return out
+
+
+def reference_multiplier_exponents(gen_degrees, budget: int) -> list[tuple]:
+    out: list[tuple] = []
+
+    def rec(i: int, prefix: tuple, remaining: int) -> None:
+        if i == len(gen_degrees):
+            out.append(prefix)
+            return
+        step = gen_degrees[i]
+        e = 0
+        while e * step <= remaining:
+            rec(i + 1, prefix + (e,), remaining - e * step)
+            e += 1
+
+    rec(0, (), budget)
+    return out

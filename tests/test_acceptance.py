@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from dercent.cli import main
-from dercent.derivation import Derivation, d_order
+from dercent.derivation import Derivation
 from dercent.linearder import decompose_over_constants, jordan_nilpotent, verify_decomposition
 from dercent.oracle import (
     centralizer_basis,
@@ -28,7 +28,7 @@ from dercent.weitzenboeck import (
     centralizer_generators,
     generator_set,
     isobaric_components,
-    isobaric_weight,
+    monomial_weight,
     sl2_triple,
     weitzenboeck_derivation,
 )
@@ -178,6 +178,20 @@ class TestCriterion8PropertySuites:
             if comps:
                 return comps[rng.randrange(len(comps))][1]
 
+    @staticmethod
+    def weights(f):
+        """The weights of the monomials of f, one for isobaric f."""
+        return {monomial_weight(e, f.nvars) for e, _ in f.terms()}
+
+    @staticmethod
+    def order(D, b):
+        """The k with D^k(b) != 0 and D^(k+1)(b) = 0, for b != 0 and D
+        locally nilpotent."""
+        k = 0
+        while b := D(b):
+            k += 1
+        return k
+
     @pytest.mark.parametrize("n", (3, 4))
     def test_leibniz(self, n):
         rng = random.Random(80 + n)
@@ -211,7 +225,8 @@ class TestCriterion8PropertySuites:
             g = self.random_isobaric(rng, n)
             if not (f * g):
                 continue
-            assert isobaric_weight(f * g) == isobaric_weight(f) + isobaric_weight(g)
+            (wf,), (wg,) = self.weights(f), self.weights(g)
+            assert self.weights(f * g) == {wf + wg}
             done += 1
 
     @pytest.mark.parametrize("n", (3, 4))
@@ -220,11 +235,11 @@ class TestCriterion8PropertySuites:
         rng = random.Random(83 + n)
         for _ in range(self.CASES):
             f = self.random_isobaric(rng, n)
-            w = isobaric_weight(f)
+            (w,) = self.weights(f)
             if t.d(f):
-                assert isobaric_weight(t.d(f)) == w + 2
+                assert self.weights(t.d(f)) == {w + 2}
             if t.dhat(f):
-                assert isobaric_weight(t.dhat(f)) == w - 2
+                assert self.weights(t.dhat(f)) == {w - 2}
 
     @pytest.mark.parametrize("n", (3, 4))
     def test_isobaric_components_of_kernel_elements(self, n):
@@ -247,10 +262,10 @@ class TestCriterion8PropertySuites:
         done = 0
         while done < self.CASES:
             b = self.random_isobaric(rng, n)
-            k = d_order(D, b)
-            if k is None or k < 1:
+            k = self.order(D, b)
+            if k < 1:
                 continue
-            assert d_order(D, t.dhat(D(b))) == k
+            assert self.order(D, t.dhat(D(b))) == k
             done += 1
 
     def test_report(self):

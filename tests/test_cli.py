@@ -800,6 +800,12 @@ class TestOracleCommands:
 
         assert result(10**6) == result(6)
 
+    def test_kernel_with_more_variables_than_the_recursion_limit(self, capsys):
+        # the degree-1 block of n = 1100 has 1,101 monomials, far under the cap
+        data = payload(capsys, "oracle", "kernel", "--n", "1100", "--power", "1",
+                       "--deg", "1")
+        assert data["result"]["dimension"] == 2
+
     def test_verify_thm2(self, capsys):
         data = payload(capsys, "oracle", "verify-thm2", "--n", "3", "--deg", "3")
         assert data["result"]["ok"] is True

@@ -10,7 +10,6 @@ from dercent import linalg
 from dercent.derivation import Derivation, annihilates_ratfunc
 from dercent.errors import PreconditionError
 from dercent.linearder import (
-    CommutantBasis,
     FDecomposition,
     decompose_over_constants,
     jordan_nilpotent,
@@ -22,7 +21,6 @@ from dercent.linearder import (
     matrix_identity,
     matrix_mul,
     matrix_to_json,
-    nilpotent_power_derivations,
     shift_powers,
     verify_decomposition,
 )
@@ -67,7 +65,7 @@ class TestCommutant:
         powers = [matrix_identity(3)]
         for _ in range(2):
             powers.append(matrix_mul(powers[-1], J3))
-        assert set(basis.matrices) == set(powers)
+        assert set(basis) == set(powers)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_shift_powers_are_matrix_powers(self, n):
@@ -79,7 +77,7 @@ class TestCommutant:
     def test_distinct_diagonal(self):
         basis = matrix_commutant(matrix([[1, 0], [0, 2]]))
         assert len(basis) == 2
-        for b in basis.matrices:
+        for b in basis:
             assert b[0][1] == 0 and b[1][0] == 0
 
     def test_zero_matrix_full_algebra(self):
@@ -95,7 +93,7 @@ class TestCommutant:
     )
     def test_basis_elements_commute_exactly(self, entries):
         a = matrix(entries)
-        for b in matrix_commutant(a).matrices:
+        for b in matrix_commutant(a):
             assert matrix_commutator(a, b) == tuple(
                 tuple(Fraction(0) for _ in row) for row in a
             )
@@ -113,15 +111,17 @@ class TestMatrixBracketCorrespondence:
 
 
 class TestNilpotentPowers:
+    """The derivations of the shift powers N^0, ..., N^(n-1)."""
+
     def test_n3_sequence(self):
-        v0, v1, v2 = nilpotent_power_derivations(3)
+        v0, v1, v2 = [linear_derivation(p) for p in shift_powers(3)]
         assert v0 == Derivation((x1, x2, x3))
         assert v1 == D3
         assert v2 == Derivation((Poly.zero(3), Poly.zero(3), x1))
 
     def test_all_commute_with_weitzenboeck(self):
-        for v in nilpotent_power_derivations(5):
-            assert v.commutes(weitzenboeck_derivation(5))
+        for p in shift_powers(5):
+            assert linear_derivation(p).commutes(weitzenboeck_derivation(5))
 
 
 class TestDecomposeJordanBlock:
@@ -249,7 +249,7 @@ def check_decomposition(T, a, coeffs=None, mats=None, reference=True):
     n = len(a)
     dec = decompose_over_constants(T, a)
     assert verify_decomposition(dec, linear_derivation(a))
-    basis = dec.basis.matrices
+    basis = dec.basis
     if coeffs is not None and len(basis) == n:
         m = coordinates(mats, basis)
         for k, phi in enumerate(dec.coefficients):
@@ -342,7 +342,7 @@ class TestDecomposeFractionFree:
         # rational plus a rational multiple of a monomial constant of D_A
         a = matrix(entries)
         n = len(a)
-        basis = matrix_commutant(a).matrices
+        basis = matrix_commutant(a)
         monomials = [Poly(n, {exp: 1}) for exp in constants] or [Poly.zero(n)]
         multipliers = st.sampled_from(monomials)
         coeffs = [
@@ -354,18 +354,18 @@ class TestDecomposeFractionFree:
 
 class TestVerifyDecomposition:
     def test_rejects_nonconstant_coefficient(self):
-        basis = CommutantBasis((matrix_identity(3),))
+        basis = (matrix_identity(3),)
         euler = Derivation((x1, x2, x3))
         bad = FDecomposition(euler, basis, (RatFunc(x2, x1),))
         assert not verify_decomposition(bad, D3)
 
     def test_rejects_wrong_recombination(self):
-        basis = CommutantBasis((matrix_identity(3),))
+        basis = (matrix_identity(3),)
         bad = FDecomposition(D3, basis, (RatFunc.constant(3, 1),))
         assert not verify_decomposition(bad, D3)
 
     def test_zero_derivation_all_zero(self):
-        basis = CommutantBasis((matrix_identity(3),))
+        basis = (matrix_identity(3),)
         dec = FDecomposition(Derivation.zero(3), basis, (RatFunc.constant(3, 0),))
         assert verify_decomposition(dec, D3)
 
@@ -375,6 +375,6 @@ class TestKernelMultiplesCommute:
         # f * (derivation of B) commutes with D for every commutant
         # element B and kernel element f.
         kernel = kernel_power_basis(D3, 1, 3).vectors
-        for b in matrix_commutant(J3).matrices:
+        for b in matrix_commutant(J3):
             for f in kernel:
                 assert D3.commutes(linear_derivation(b) * f)

@@ -1,5 +1,6 @@
 """Oracle engines: truncated kernels, spans, centralizer, rank, candidates."""
 
+import gc
 import random
 import tracemalloc
 from collections import Counter
@@ -45,6 +46,7 @@ from support import (
     reference_corank,
     reference_derivation_span_equal,
     reference_kernel_power_basis,
+    reference_multiplier_exponents,
     reference_null_combinations,
     reference_rank_over_fractions,
     reference_symbolic_rank,
@@ -285,6 +287,31 @@ class TestBlockedElimination:
             assert len({monomial_weight(monos[j], n) for j in columns}) == 1
         assert len(monos) == 70
         assert max(len(columns) for columns, _ in blocks) == 8
+
+
+class TestMultiplierExponents:
+    @pytest.mark.parametrize(
+        "gen_degrees", [(), (1,), (3,), (1, 1, 2), (1, 2, 3), (2, 3, 4, 5, 6)]
+    )
+    def test_order_of_the_recursive_form(self, gen_degrees):
+        for budget in range(-1, 13):
+            assert oracle._multiplier_exponents(
+                gen_degrees, budget
+            ) == reference_multiplier_exponents(gen_degrees, budget)
+
+    def test_more_generators_than_the_recursion_limit(self):
+        exps = oracle._multiplier_exponents([1] * 1100, 1)
+        assert len(exps) == 1101
+        assert exps[0] == (0,) * 1100 and exps[-1] == (1,) + (0,) * 1099
+
+    def test_leaves_no_cyclic_garbage(self):
+        gc.collect()
+        gc.disable()
+        try:
+            assert oracle._multiplier_exponents([1, 2, 2, 3], 6)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestModuleSpanCheck:

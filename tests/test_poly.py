@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic: examples, invariants, and guards."""
 
+import gc
 import json
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import dercent.poly as poly_mod
+from dercent.derivation import Derivation
 from dercent.errors import DimensionError, NotDivisibleError, ResourceLimitError
 from dercent.poly import (
     FIELD_LIMIT,
@@ -24,6 +26,7 @@ from support import (
     reference_add,
     reference_divexact,
     reference_evaluate,
+    reference_monomials_of_degree,
     reference_mul,
     reference_order,
     reference_partial,
@@ -33,6 +36,11 @@ from support import (
 
 x1, x2, x3 = Poly.variables(3)
 a2 = x1 * x3 - Fraction(1, 2) * x2**2
+
+
+def partial(p, index):
+    """d/dx_(index+1) of p, applied as the coordinate derivation."""
+    return Derivation.partial(p.nvars, index)(p)
 
 
 def small_fraction():
@@ -95,17 +103,18 @@ class TestArithmeticExamples:
 
 class TestPartialDerivative:
     def test_power_rule(self):
-        assert a2.partial_derivative(1) == -x2
+        assert partial(a2, 1) == -x2
 
     def test_constant(self):
-        assert not Poly.constant(3, Fraction(7, 3)).partial_derivative(0)
+        assert not partial(Poly.constant(3, Fraction(7, 3)), 0)
 
     def test_product_monomial(self):
-        assert (x1 * x3).partial_derivative(2) == x1
+        assert partial(x1 * x3, 2) == x1
 
     def test_index_out_of_range(self):
-        with pytest.raises(DimensionError):
-            x1.partial_derivative(3)
+        for index in (3, -1):
+            with pytest.raises(DimensionError):
+                partial(x1, index)
 
 
 class TestSubstitute:
@@ -202,11 +211,10 @@ class TestCanonicalForm:
             x1.nvars = 5
 
     def test_homogeneous_components(self):
-        p = x1 + x2**2 + 3
-        comps = dict(p.homogeneous_components())
-        assert comps[0] == 3 and comps[1] == x1 and comps[2] == x2**2
-        assert a2.is_homogeneous()
-        assert not p.is_homogeneous()
+        # a sum of components of degrees 0, 1 and 2 is not homogeneous
+        assert all(c.is_homogeneous() for c in (Poly.constant(3, 3), x1, x2**2, a2))
+        assert Poly.zero(3).is_homogeneous()
+        assert not (x1 + x2**2 + 3).is_homogeneous()
 
 
 class TestMonomialContent:
@@ -292,6 +300,26 @@ class TestMonomialEnumeration:
         assert len(monomials_up_to_degree(3, 2)) == 10
         assert len(monomials_up_to_degree(4, 5)) == 126
 
+    @pytest.mark.parametrize("nvars", range(0, 7))
+    def test_order_of_the_recursive_form(self, nvars):
+        for degree in range(-1, 6):
+            assert monomials_of_degree(nvars, degree) == reference_monomials_of_degree(
+                nvars, degree)
+
+    def test_more_variables_than_the_recursion_limit(self):
+        monos = monomials_of_degree(1100, 1)
+        assert len(monos) == 1100
+        assert monos[0] == (1,) + (0,) * 1099 and monos[-1] == (0,) * 1099 + (1,)
+
+    def test_leaves_no_cyclic_garbage(self):
+        gc.collect()
+        gc.disable()
+        try:
+            assert monomials_of_degree(5, 4)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestDivexact:
     def test_exact_factor(self):
@@ -326,8 +354,8 @@ class TestRingAxioms:
 
     @given(a=poly_st(), b=poly_st(), i=st.integers(0, 2))
     def test_leibniz(self, a, b, i):
-        lhs = (a * b).partial_derivative(i)
-        rhs = a.partial_derivative(i) * b + a * b.partial_derivative(i)
+        lhs = partial(a * b, i)
+        rhs = partial(a, i) * b + a * partial(b, i)
         assert lhs == rhs
 
     @given(a=poly_st(max_degree=2), b=poly_st(max_degree=2))
@@ -389,7 +417,7 @@ class TestPackedAgainstTupleReference:
     def test_partial_derivative(self, data, n):
         a = data.draw(keyed_poly_st(n, 64))
         for i in range(n):
-            assert tuple_terms(a.partial_derivative(i)) == reference_partial(tuple_terms(a), i)
+            assert tuple_terms(partial(a, i)) == reference_partial(tuple_terms(a), i)
 
     @given(data=st.data(), n=nvars_st, integral=st.booleans())
     def test_primitive_part(self, data, n, integral):
@@ -433,7 +461,7 @@ class TestSympyCrossCheck:
         b = data.draw(keyed_poly_st(n, 32))
         assert tuple_terms(a * b) == from_sympy(to_sympy(a) * to_sympy(b))
         for i in range(n):
-            assert tuple_terms(a.partial_derivative(i)) == from_sympy(
+            assert tuple_terms(partial(a, i)) == from_sympy(
                 to_sympy(a).diff(gens[i]))
         if a:
             assert [e for e, _ in a.terms()] == [

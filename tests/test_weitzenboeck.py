@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dercent.derivation import Derivation, d_order
+from dercent.derivation import Derivation
 from dercent.errors import PreconditionError, RegistryError
 from dercent.linalg import solve_many
 from dercent.oracle import centralizer_basis
@@ -17,7 +17,6 @@ from dercent.weitzenboeck import (
     commuting_derivation,
     generator_set,
     isobaric_components,
-    isobaric_weight,
     ladder_generators,
     monomial_weight,
     sl2_triple,
@@ -70,7 +69,7 @@ class TestWeights:
     def test_kernel_generator_is_isobaric_weight_zero(self):
         assert monomial_weight((1, 0, 1), 3) == 0
         assert monomial_weight((0, 2, 0), 3) == 0
-        assert isobaric_weight(a2) == 0
+        assert {monomial_weight(e, 3) for e, _ in a2.terms()} == {0}
 
     def test_weight_matches_h_eigenvalue(self):
         t = sl2_triple(4)
@@ -83,10 +82,6 @@ class TestWeights:
         assert comps == [(2, x1), (0, x2**2)]
         assert isobaric_components(a2) == [(0, a2)]
         assert isobaric_components(Poly.zero(3)) == []
-
-    def test_isobaric_weight_rejects_mixed(self):
-        with pytest.raises(PreconditionError):
-            isobaric_weight(x1 + x2)
 
 
 class TestCommutingDerivation:
@@ -118,7 +113,7 @@ class TestCommutingDerivation:
         built = 0
         while built < 30:
             f = random_poly(rng, 3, max_degree=3)
-            if d_order(D3, f) is None or D3(D3(D3(f))):
+            if D3(D3(D3(f))):
                 continue
             assert commuting_derivation(f, 3).commutes(D3)
             built += 1
@@ -292,7 +287,10 @@ class TestCentralizerGenerators:
 
 
 class TestGradedStructure:
-    """Weight bookkeeping under the raising and lowering operators."""
+    """How the lowering operator commutes with powers of D on isobaric
+    elements.  The weight shifts, weight additivity, the isobaric split of
+    kernel elements and the order under Dhat(D(.)) are acceptance
+    criterion 8 (`tests/test_acceptance.py`)."""
 
     def _random_isobaric(self, rng, n, max_degree=3):
         while True:
@@ -300,58 +298,6 @@ class TestGradedStructure:
             comps = isobaric_components(f)
             if comps:
                 return comps[rng.randrange(len(comps))][1]
-
-    @pytest.mark.parametrize("n", (3, 4))
-    def test_weight_shift_under_raising_and_lowering(self, n):
-        t = sl2_triple(n)
-        rng = random.Random(100 + n)
-        for _ in range(60):
-            f = self._random_isobaric(rng, n)
-            w = isobaric_weight(f)
-            up = t.d(f)
-            if up:
-                assert isobaric_weight(up) == w + 2
-            down = t.dhat(f)
-            if down:
-                assert isobaric_weight(down) == w - 2
-
-    @pytest.mark.parametrize("n", (3, 4))
-    def test_weight_additivity(self, n):
-        rng = random.Random(200 + n)
-        for _ in range(60):
-            f = self._random_isobaric(rng, n)
-            g = self._random_isobaric(rng, n)
-            if f * g:
-                assert isobaric_weight(f * g) == isobaric_weight(f) + isobaric_weight(g)
-
-    @pytest.mark.parametrize("n", (3, 4))
-    def test_kernel_closed_under_isobaric_split(self, n):
-        from dercent.oracle import kernel_power_basis
-
-        D = weitzenboeck_derivation(n)
-        rng = random.Random(300 + n)
-        kernel = kernel_power_basis(D, 1, 3).vectors
-        for _ in range(60):
-            f = Poly.zero(n)
-            for v in kernel:
-                f = f + v * Fraction(rng.randint(-3, 3))
-            assert not D(f)
-            for _, comp in isobaric_components(f):
-                assert not D(comp)
-
-    @pytest.mark.parametrize("n", (3, 4))
-    def test_order_preserved_by_lower_after_raise(self, n):
-        D = weitzenboeck_derivation(n)
-        t = sl2_triple(n)
-        rng = random.Random(400 + n)
-        seen = 0
-        while seen < 60:
-            b = self._random_isobaric(rng, n)
-            k = d_order(D, b)
-            if k is None or k < 1:
-                continue
-            assert d_order(D, t.dhat(D(b))) == k
-            seen += 1
 
     @pytest.mark.parametrize("n", (3, 4))
     def test_iterated_commutation_defect_is_scalar(self, n):
