@@ -326,7 +326,9 @@ def _multiplier_exponents(
     if count == 0:
         return [()]
     out: list[tuple[int, ...]] = []
-    # depth first over the leading exponents, the smallest popped first
+    # Depth first over the leading exponents, the smallest popped first; a
+    # zero remainder has one completion, padded at once, as in
+    # poly.monomials_of_degree.
     stack: list[tuple[tuple[int, ...], int]] = [((), budget)]
     while stack:
         prefix, remaining = stack.pop()

@@ -147,7 +147,9 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Exponent]:
     if nvars == 1:
         return [(degree,)]
     out: list[Exponent] = []
-    # depth first over the leading exponents, the largest popped first
+    # Depth first over the leading exponents, the largest popped first.  A
+    # zero remainder has one completion, padded at once, so the stack never
+    # walks a long run of zero exponents one slot at a time.
     stack: list[tuple[tuple[int, ...], int]] = [((), degree)]
     while stack:
         prefix, remaining = stack.pop()
