@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__
@@ -31,6 +31,7 @@ from .poly import JSONText, Poly
 from .registry import registry_entry
 from .verify import VerificationRun, first_failure, run_verification
 from .weitzenboeck import (
+    Ladders,
     centralizer_generators,
     generator_set,
     sl2_triple,
@@ -90,10 +91,12 @@ def write_json(obj, write) -> None:
 
     `write` is called with joined blocks of about `_BLOCK_PIECES` pieces
     or `_BLOCK_CHARS` characters.  Dicts with `str` keys, lists, tuples,
-    `str`, `int`, `bool` and `None` are encoded as they are.  A `Poly` or
-    a `Derivation` is written as the text its `to_json(text, level)`
-    encodes, with one JSONText for the whole document, so neither builds
-    its `to_json()` tree.  Any other object with a `to_json()` method is
+    `str`, `int`, `bool` and `None` are encoded as they are.  `Ladders`
+    are written as a list, each ladder built when the writer reaches it,
+    so one is held at a time (`json.dumps` has no encoding for them).  A
+    `Poly` or a `Derivation` is written as the text its `to_json(text,
+    level)` encodes, with one JSONText for the whole document, so neither
+    builds its `to_json()` tree.  Any other object with a `to_json()` method is
     encoded as what that method returns, called when the writer reaches
     it, so each object's tree lives only while it is written.  Anything
     else (floats included) raises TypeError.
@@ -123,7 +126,7 @@ def write_json(obj, write) -> None:
             append("false")
         elif isinstance(o, int):
             append(int.__repr__(o))
-        elif isinstance(o, (list, tuple, dict)):
+        elif isinstance(o, (list, tuple, dict, Ladders)):
             if not o:
                 append("{}" if isinstance(o, dict) else "[]")
                 return
@@ -140,7 +143,7 @@ def write_json(obj, write) -> None:
                     first = sep
                 append(newline[level])
                 append("}")
-            elif all(type(x) is int for x in o):
+            elif isinstance(o, (list, tuple)) and all(type(x) is int for x in o):
                 append("[" + newline[inner] + sep.join(map(int.__repr__, o))
                        + newline[level] + "]")
             else:
@@ -181,15 +184,18 @@ def write_json(obj, write) -> None:
 
 
 def _emit(args: argparse.Namespace, command: str, result: dict,
-          text: Callable[[], str]) -> None:
-    """Print the report; `text()` builds the --format text rendering.
+          text: Callable[[], Iterable[str]]) -> None:
+    """Print the report; `text()` gives the --format text rendering.
 
     `result` holds the computed objects themselves; `write_json` turns
     each into JSON as it writes it, so no tree of the whole report is
-    built first.
+    built first.  Likewise each line of `text()` is written as it comes,
+    never joined with the others.
     """
     if args.format == "text":
-        print(text())
+        write = sys.stdout.write
+        for line in text():
+            write(line + "\n")
         return
     payload = {
         "command": command,
@@ -214,10 +220,8 @@ def cmd_sl2(args) -> int:
         "relations_hold": True,
     }
 
-    def text() -> str:
-        return "\n".join(
-            [f"D    = {triple.d}", f"Dhat = {triple.dhat}", f"H    = {triple.h}"]
-        )
+    def text() -> list[str]:
+        return [f"D    = {triple.d}", f"Dhat = {triple.dhat}", f"H    = {triple.h}"]
 
     _emit(args, "sl2", result, text)
     return EXIT_OK
@@ -236,16 +240,13 @@ def cmd_gens(args) -> int:
         "set": S,
     }
 
-    def text() -> str:
-        lines = [
-            f"generators of the kernel of D^{level} as a Ker D-module (n={n}):"
-        ]
+    def text() -> Iterable[str]:
+        yield f"generators of the kernel of D^{level} as a Ker D-module (n={n}):"
         for k, el in enumerate(S.elements, 1):
             factors = (
                 " * ".join(f"Dhat^{p}(a{g + 1})" for g, p in el.factors) or "1"
             )
-            lines.append(f"  [{k}] {str(el.poly):<30} = ({el.scale}) * {factors}")
-        return "\n".join(lines)
+            yield f"  [{k}] {str(el.poly):<30} = ({el.scale}) * {factors}"
 
     _emit(args, "gens", result, text)
     return EXIT_OK
@@ -263,13 +264,10 @@ def cmd_centralizer(args) -> int:
         "generators": gens,
     }
 
-    def text() -> str:
-        lines = [
-            f"centralizer generators over Ker D (n={n}, {len(gens)} elements):"
-        ]
+    def text() -> Iterable[str]:
+        yield f"centralizer generators over Ker D (n={n}, {len(gens)} elements):"
         for k, g in enumerate(gens, 1):
-            lines.append(f"  [{k}] {str(g.derivation):<44} s = {g.element.poly}")
-        return "\n".join(lines)
+            yield f"  [{k}] {str(g.derivation):<44} s = {g.element.poly}"
 
     _emit(args, "centralizer", result, text)
     return EXIT_OK
@@ -285,7 +283,7 @@ def cmd_bracket(args) -> int:
         "right": right,
         "bracket": br,
     }
-    _emit(args, "bracket", result, lambda: f"[{left}, {right}] = {br}")
+    _emit(args, "bracket", result, lambda: [f"[{left}, {right}] = {br}"])
     return EXIT_OK
 
 
@@ -301,12 +299,12 @@ def cmd_decompose(args) -> int:
         "verified": verified,
     }
 
-    def text() -> str:
+    def text() -> list[str]:
         lines = [f"T = {T}"]
         for j, phi in enumerate(dec.coefficients):
             lines.append(f"  phi_{j} = {phi}")
         lines.append(f"verified: {verified}")
-        return "\n".join(lines)
+        return lines
 
     _emit(args, "decompose", result, text)
     return EXIT_OK
@@ -319,7 +317,7 @@ def cmd_rank(args) -> int:
     result = rank_over_fractions(derivs, seed=args.seed)
     payload = {"certificate": result, "rank": result.rank}
     _emit(args, "rank", payload,
-          lambda: f"rank = {result.rank} ({result.method})")
+          lambda: [f"rank = {result.rank} ({result.method})"])
     return EXIT_OK
 
 
@@ -336,12 +334,12 @@ def cmd_verify(args) -> int:
         "first_failure": failure,
     }
 
-    def text() -> str:
+    def text() -> list[str]:
         lines = [
             f"  {item.name:<36} {'PASS' if item.ok else 'FAIL'}" for item in items
         ]
         header = f"verification suite n={n} deg={args.deg}:"
-        return "\n".join([header] + lines)
+        return [header] + lines
 
     _emit(args, "verify", result, text)
     return EXIT_OK if failure is None else EXIT_VERIFICATION_FAILED
@@ -358,12 +356,11 @@ def cmd_oracle_kernel(args) -> int:
         "certificate": basis,
     }
 
-    def text() -> str:
-        lines = [
+    def text() -> list[str]:
+        return [
             f"kernel of D^{args.power}, degree <= {args.deg}: "
             f"dimension {basis.dimension()}"
         ] + [f"  {v}" for v in basis.vectors]
-        return "\n".join(lines)
 
     _emit(args, "oracle kernel", result, text)
     return EXIT_OK
@@ -380,12 +377,11 @@ def cmd_oracle_thm2(args) -> int:
     all_ok = all(c["ok"] for c in checks)
     result = {"n": n, "degree": args.deg, "ok": all_ok, "certificate": checks}
 
-    def text() -> str:
-        lines = [f"power-kernel span checks n={n} deg={args.deg}:"] + [
+    def text() -> list[str]:
+        return [f"power-kernel span checks n={n} deg={args.deg}:"] + [
             f"  i={c['i']}: {'PASS' if c['ok'] else 'FAIL'} "
             f"(dim {c['dimension']})" for c in checks
         ]
-        return "\n".join(lines)
 
     _emit(args, "oracle verify-thm2", result, text)
     return EXIT_OK if all_ok else EXIT_VERIFICATION_FAILED
@@ -401,12 +397,12 @@ def cmd_oracle_prop1(args) -> int:
         "certificate": {"enumerated_dimension": dimension, "ladder_count": count},
     }
 
-    def text() -> str:
-        return (
+    def text() -> list[str]:
+        return [
             f"centralizer/ladder span equality n={n} deg={args.deg}: "
             f"{'PASS' if ok else 'FAIL'} "
             f"(enumerated dim {dimension}, ladders {count})"
-        )
+        ]
 
     _emit(args, "oracle verify-prop1", result, text)
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILED

@@ -141,7 +141,12 @@ def variable_field(nvars: int, index: int) -> tuple[int, int]:
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list[Exponent]:
-    """All exponent tuples of the given total degree, largest grlex first."""
+    """All exponent tuples of the given total degree, largest grlex first.
+
+    An empty list for a negative degree, whatever the number of variables.
+    """
+    if degree < 0:
+        return []
     if nvars == 0:
         return [()] if degree == 0 else []
     if nvars == 1:

@@ -128,7 +128,7 @@ class VerificationRun:
     def generators(self) -> list[CentralizerGenerator]:
         return self._once(
             ("generators",),
-            lambda: ladder_generators(self.n, self.generator_set(self.n)),
+            lambda: list(ladder_generators(self.n, self.generator_set(self.n))),
         )
 
     def span_check(self, level: int):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .derivation import Derivation
 from .errors import PreconditionError, RegistryError
@@ -229,32 +229,62 @@ class CentralizerGenerator:
         return {"element": self.element, "derivation": self.derivation}
 
 
-def centralizer_generators(
-    n: int, kernel_gens: Sequence[Poly]
-) -> list[CentralizerGenerator]:
-    """Module generators of the centralizer of the Weitzenboeck derivation.
+class Ladders:
+    """The centralizer generators of a generator set, each built when read.
 
-    Builds the level-n generator set and passes it to ladder_generators.
+    `len` is the number of elements of the set.  Each iteration builds
+    the ladders anew, one per element in turn, and keeps none, so a
+    writer holds one ladder at a time; a caller that reads them more than
+    once keeps a list.
     """
-    return ladder_generators(n, generator_set(n, kernel_gens, n))
 
+    def __init__(self, n: int, S: GeneratorSet):
+        self.n, self.set = n, S
 
-def ladder_generators(n: int, S: GeneratorSet) -> list[CentralizerGenerator]:
-    """Attach to each element s of S the derivation with ladder D^(n-i)(s).
+    def __len__(self) -> int:
+        return len(self.set.elements)
 
-    Every s must satisfy D^n(s) = 0; a violation means the kernel
-    generators S was built from were not actually kernel elements and
-    raises RegistryError.
-    """
-    out = []
-    for element in S.elements:
+    def __iter__(self) -> Iterator[CentralizerGenerator]:
+        return map(self._ladder, self.set.elements)
+
+    def _ladder(self, element: GenElement) -> CentralizerGenerator:
         try:
-            deriv = commuting_derivation(element.poly, n)
+            deriv = commuting_derivation(element.poly, self.n)
         except PreconditionError as exc:
             raise RegistryError(
                 f"generator-set element {element.poly} is not annihilated by "
-                f"the {n}-th power of the derivation; kernel registry entry "
-                f"for n={n} is corrupt"
+                f"the {self.n}-th power of the derivation; kernel registry entry "
+                f"for n={self.n} is corrupt"
             ) from exc
-        out.append(CentralizerGenerator(element, deriv))
-    return out
+        return CentralizerGenerator(element, deriv)
+
+
+def centralizer_generators(n: int, kernel_gens: Sequence[Poly]) -> Ladders:
+    """Module generators of the centralizer of the Weitzenboeck derivation.
+
+    The ladders of the level-n generator set, built when read (see
+    ladder_generators).  Every element s is checked to satisfy D^n(s) = 0
+    before this returns, so a corrupt registry raises RegistryError
+    before any ladder is read.  When every kernel generator g has
+    D(g) = 0 that holds without building a ladder: D^(k+1) Dhat^k g = 0
+    in the sl2 representation, so by Leibniz D^n kills every product of
+    such images whose lowering powers sum to at most n-1.  Otherwise
+    every ladder is built once, and dropped, to check its element.
+    """
+    ladders = ladder_generators(n, generator_set(n, kernel_gens, n))
+    D = weitzenboeck_derivation(n)
+    if any(D(g) for g in kernel_gens):
+        for _ in ladders:
+            pass
+    return ladders
+
+
+def ladder_generators(n: int, S: GeneratorSet) -> Ladders:
+    """The derivations with ladder D^(n-i)(s), one per element s of S.
+
+    The sequence builds each ladder when it is read.  Every s must
+    satisfy D^n(s) = 0; a violation means the kernel generators S was
+    built from were not actually kernel elements, and building that
+    element's ladder raises RegistryError.
+    """
+    return Ladders(n, S)

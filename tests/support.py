@@ -667,6 +667,8 @@ def reference_generator_set(n: int, kernel_gens, level: int) -> GeneratorSet:
 
 
 def reference_monomials_of_degree(nvars: int, degree: int) -> list[tuple]:
+    if degree < 0:
+        return []
     if nvars == 0:
         return [()] if degree == 0 else []
     out: list[tuple] = []

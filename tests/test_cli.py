@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import dercent
-from dercent import __version__, cli, oracle
+from dercent import __version__, cli, oracle, weitzenboeck
 from dercent.cli import main, write_json
 from dercent.derivation import Derivation
 from dercent.linearder import (
@@ -29,7 +30,12 @@ from dercent.linearder import (
 )
 from dercent.poly import Poly
 from dercent.registry import KernelEntry, load_registry, registry_to_json
-from dercent.weitzenboeck import CentralizerGenerator, GenElement, sl2_triple
+from dercent.weitzenboeck import (
+    CentralizerGenerator,
+    GenElement,
+    centralizer_generators,
+    sl2_triple,
+)
 
 from support import count_calls, random_derivation, random_poly, write_registry
 
@@ -157,6 +163,35 @@ class TestCentralizerCommand:
         code, _, err = run_cli(capsys, "centralizer", "--n", "9")
         assert code == 2
         assert "registered" in err
+
+    def test_element_outside_the_power_kernel_is_refused_before_output(
+        self, capsys, tmp_path
+    ):
+        # x2 is not in Ker D, and the element x2*x3 of the generator set is
+        # not killed by D^3
+        generators = load_registry()[3].generators + (Poly.variable(3, 1),)
+        bad = write_registry(tmp_path / "bad_registry.json", 3, generators)
+        code, out, err = run_cli(capsys, "centralizer", "--n", "3", "--registry", bad)
+        assert code == 2
+        assert out == ""
+        assert "not annihilated" in err
+
+    def test_generator_outside_the_kernel_that_no_element_uses(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # x3 is not in Ker D, so nothing certifies the set without checking
+        # its elements; but Dhat(x3) = 0, so no element uses x3 and every
+        # one passes.  The digest was recorded before the ladders were
+        # built lazily.
+        monkeypatch.chdir(tmp_path)  # the report echoes the path
+        write_registry(tmp_path / "registry.json", 3,
+                       load_registry()[3].generators + (Poly.variable(3, 2),))
+        code, out, err = run_cli(capsys, "centralizer", "--n", "3",
+                                 "--registry", "registry.json")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "609c0738cafd2e10109a675f0faf21d60abcfb7a49dc90b477920fa30a1cc6e5"
+        )
 
 
 class TestGensCommand:
@@ -686,9 +721,12 @@ class TestPolyWriter:
         assert calls and None not in calls
 
     def test_leaves_no_cyclic_garbage(self):
-        # what a report's writer holds (its exponent texts) is freed when it
-        # returns, not at the next full garbage collection
-        report = {"polys": Poly.variables(3), "d": sl2_triple(3).d}
+        # what a report's writer holds (its exponent texts, the ladders it
+        # builds as it reaches them) is freed when it returns, not at the
+        # next full garbage collection
+        ladders = centralizer_generators(5, load_registry()[5].generators)
+        report = {"polys": Poly.variables(3), "d": sl2_triple(3).d,
+                  "generators": ladders}
         gc.collect()
         gc.disable()
         try:
@@ -775,6 +813,40 @@ class TestReportStreaming:
         assert main(["centralizer", "--n", "5"]) == 0
         last_encode = len(events) - 1 - events[::-1].index("encode")
         assert events.index("write") < last_encode
+        assert hashlib.sha256(spy.getvalue().encode()).hexdigest() == (
+            "1267fcc57631bcff8a48bd87b6ca0123ba9aef0b661e2e2beb33b688a1228ff7"
+        )
+
+
+    def test_centralizer_holds_one_ladder_at_a_time(self, monkeypatch):
+        # each ladder is built when the writer reaches it and dropped once
+        # written, so output starts before the last one is built, and when
+        # one is built at most the one before it is still alive
+        events = []
+        ladders = []
+        build = weitzenboeck.commuting_derivation
+
+        def spied_build(f, n):
+            alive = sum(ref() is not None for ref in ladders)
+            events.append(("build", alive))
+            T = build(f, n)
+            ladders.append(weakref.ref(T))
+            return T
+
+        class Spy(io.StringIO):
+            def write(self, s):
+                events.append(("write", None))
+                return super().write(s)
+
+        monkeypatch.setattr(weitzenboeck, "commuting_derivation", spied_build)
+        spy = Spy()
+        monkeypatch.setattr(sys, "stdout", spy)
+        assert main(["centralizer", "--n", "5"]) == 0
+        kinds = [kind for kind, _ in events]
+        assert kinds.count("build") == len(ladders) == 86
+        last_build = len(kinds) - 1 - kinds[::-1].index("build")
+        assert kinds.index("write") < last_build
+        assert max(alive for kind, alive in events if kind == "build") <= 1
         assert hashlib.sha256(spy.getvalue().encode()).hexdigest() == (
             "1267fcc57631bcff8a48bd87b6ca0123ba9aef0b661e2e2beb33b688a1228ff7"
         )

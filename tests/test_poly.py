@@ -306,6 +306,10 @@ class TestMonomialEnumeration:
             assert monomials_of_degree(nvars, degree) == reference_monomials_of_degree(
                 nvars, degree)
 
+    @pytest.mark.parametrize("nvars", range(0, 7))
+    def test_negative_degree_has_no_monomials(self, nvars):
+        assert monomials_of_degree(nvars, -1) == []
+
     def test_more_variables_than_the_recursion_limit(self):
         monos = monomials_of_degree(1100, 1)
         assert len(monos) == 1100
