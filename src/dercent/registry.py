@@ -11,7 +11,8 @@ looked; below that degree the entries provably span the kernel.
 Loading checks only that each entry sits under its own n with n-variable
 generators; other structural problems surface when the construction
 checks that every generator-set element is annihilated by the n-th power
-of the derivation.
+of the derivation.  `centralizer_generators` settles that check before
+it returns, so `centralizer` refuses a corrupt entry before any output.
 """
 
 from __future__ import annotations
