@@ -817,7 +817,6 @@ class TestReportStreaming:
             "1267fcc57631bcff8a48bd87b6ca0123ba9aef0b661e2e2beb33b688a1228ff7"
         )
 
-
     def test_centralizer_holds_one_ladder_at_a_time(self, monkeypatch):
         # each ladder is built when the writer reaches it and dropped once
         # written, so output starts before the last one is built, and when
