@@ -4,14 +4,19 @@ Rational matrices cross the public functions as sparse rows: a row or a
 vector is a dict from column index to its nonzero Fraction entry, and an
 absent column is zero.  Elimination works on these rows directly, so a
 row update costs the support of the pivot row, not the width of the
-matrix, and rows that share no column with the pivot row are never
-touched.  Pivoting takes columns left to right and, in each, the first
-remaining row with a nonzero entry there, so callers control the
-canonical form through their column ordering.
+matrix.  One forward loop serves both fields: it takes the columns left
+to right and keeps an index from each column to the remaining rows that
+hold it.  The pivot of a column is the candidate with the fewest
+entries, the lowest row index among equals, and only the rows holding
+the pivot column are updated, so rows that share no column with the
+pivot row are never touched.  Over Q, `rref` and `solve_many` finish
+with a back substitution.  The pivot columns and the reduced form do not
+depend on which rows are chosen, so callers control the canonical form
+through their column ordering.
 
-`rank` also counts over the prime field of a given modulus, on the same
-pivot loop.  A rank mod p is a lower bound on the rank over Q, which
-is what the counting checks in `oracle` need.
+`rank` is the pivot count of the forward loop alone, over Q or over the
+prime field of a given modulus.  A rank mod p is a lower bound on the
+rank over Q, which is what the counting checks in `oracle` need.
 
 Polynomial matrices are eliminated fraction-free (Bareiss), so every
 entry stays a polynomial and no rational function is ever formed.
@@ -26,58 +31,88 @@ from .poly import Poly, poly_divexact
 
 SparseRow = dict[int, Fraction]
 
-_ZERO = Fraction(0)
+
+def _clear(row: SparseRow, c: int, prow: SparseRow, modulus: int | None) -> None:
+    """Subtract row[c] times prow, whose entry at c is 1, from row in place,
+    reduced mod the modulus if one is given; zero entries are deleted."""
+    f = row[c]
+    for j, b in prow.items():
+        x = row.get(j, 0) - f * b
+        if modulus is not None:
+            x %= modulus
+        if x:
+            row[j] = x
+        else:
+            del row[j]
 
 
 def _eliminate(m: list[SparseRow], ncols: int, modulus: int | None = None) -> list[int]:
-    """Gauss-Jordan on m in place, pivoting only in the first ncols columns.
+    """Forward elimination on m in place, pivoting only in the first ncols
+    columns.
 
     Entries are Fractions, or with a modulus p the residues 1..p-1 of the
-    integers mod p (the entries must already be reduced).  Returns the
-    pivot columns: row k holds the pivot of pivots[k], and the later rows
-    are zero in the first ncols columns.  Rows keep only their nonzero
-    entries.
+    integers mod p (the entries must already be reduced).  Columns are
+    taken left to right.  An index from each column to the remaining rows
+    that hold it gives the pivot candidates and the rows to update: the
+    pivot is the candidate with the fewest entries (the lowest row index
+    among equals), it is scaled to 1, and only the rows holding its column
+    are updated.  Returns the pivot columns, with m reordered so that row
+    k holds the pivot of pivots[k] and is zero in the earlier pivot
+    columns; the later rows are zero in the first ncols columns.
     """
-    # The field is chosen once: over Q an update is exactly the Fraction
-    # arithmetic below, mod p each updated row is reduced afterwards.
-    zero = _ZERO if modulus is None else 0
+    holding: dict[int, set[int]] = {}
+    for i, row in enumerate(m):
+        for j in row:
+            holding.setdefault(j, set()).add(i)
     pivots: list[int] = []
-    r = 0
+    pivot_rows: list[int] = []
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if c in m[i]), None)
-        if pivot_row is None:
+        rows = holding.pop(c, None)
+        if not rows:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
+        p = min(rows, key=lambda i: (len(m[i]), i))
+        rows.remove(p)
         if modulus is None:
-            inv = 1 / m[r][c]
-            prow = m[r] = {j: x * inv for j, x in m[r].items()}
+            inv = 1 / m[p][c]
+            prow = m[p] = {j: x * inv for j, x in m[p].items()}
         else:
-            inv = pow(m[r][c], -1, modulus)
-            prow = m[r] = {j: x * inv % modulus for j, x in m[r].items()}
-        for i, row in enumerate(m):
-            f = row.get(c) if i != r else None
-            if f is None:
-                continue
-            for j, b in prow.items():
-                x = row.get(j, zero) - f * b
-                if x:
-                    row[j] = x
+            inv = pow(m[p][c], -1, modulus)
+            prow = m[p] = {j: x * inv % modulus for j, x in m[p].items()}
+        others = [j for j in prow if j != c]
+        for j in others:
+            holding[j].discard(p)
+        for i in rows:
+            row = m[i]
+            _clear(row, c, prow, modulus)
+            for j in others:
+                if j in row:
+                    holding[j].add(i)
                 else:
-                    del row[j]
-            if modulus is not None:
-                for j in prow:
-                    x = row.get(j)
-                    if x is not None:
-                        x %= modulus
-                        if x:
-                            row[j] = x
-                        else:
-                            del row[j]
+                    holding[j].discard(i)
         pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
+        pivot_rows.append(p)
+    done = set(pivot_rows)
+    m[:] = [m[i] for i in pivot_rows] + [row for i, row in enumerate(m) if i not in done]
     return pivots
+
+
+def _back_substitute(m: list[SparseRow], pivots: list[int]) -> None:
+    """Finish the reduced row-echelon form of m after _eliminate over Q.
+
+    Walks up from the last pivot row, clearing its pivot column in the rows
+    above.  By then a pivot row holds only its own pivot and free columns,
+    so no update creates a pivot column, and the rows holding each pivot
+    column above its own row are listed once, before the walk.
+    """
+    above: dict[int, list[int]] = {c: [] for c in pivots}
+    for i, c in enumerate(pivots):
+        for j in m[i]:
+            if j != c and j in above:
+                above[j].append(i)
+    for k in reversed(range(len(pivots))):
+        c, prow = pivots[k], m[k]
+        for i in above[c]:
+            _clear(m[i], c, prow, None)
 
 
 def _residue(x: int | Fraction, modulus: int) -> int:
@@ -138,6 +173,7 @@ def rref(rows: Sequence[SparseRow], ncols: int) -> tuple[list[SparseRow], list[i
     """Reduced row-echelon form; returns (nonzero rows, pivot columns)."""
     m = [{j: Fraction(x) for j, x in row.items() if x} for row in rows]
     pivots = _eliminate(m, ncols)
+    _back_substitute(m, pivots)
     return m[: len(pivots)], pivots
 
 
@@ -148,8 +184,9 @@ def rank(rows: Sequence[SparseRow], ncols: int, modulus: int | None = None) -> i
     means p divides a denominator and the count says nothing.
     """
     if modulus is None:
-        return len(rref(rows, ncols)[1])
-    m = [{j: r for j, x in row.items() if (r := _residue(x, modulus))} for row in rows]
+        m = [{j: Fraction(x) for j, x in row.items() if x} for row in rows]
+    else:
+        m = [{j: r for j, x in row.items() if (r := _residue(x, modulus))} for row in rows]
     return len(_eliminate(m, ncols, modulus))
 
 
@@ -190,6 +227,7 @@ def solve_many(
                 aug.setdefault(i, {})[j] = Fraction(x)
     m = [aug[i] for i in sorted(aug)]
     pivots = _eliminate(m, ncols)
+    _back_substitute(m, pivots)
     outside = {j for row in m[len(pivots):] for j in row}
     return [
         None if tcol in outside

@@ -17,14 +17,11 @@ MODULUS (`_corank`), an upper bound on that null space's dimension.  A
 rank mod MODULUS of elements known to lie in the space is a lower bound;
 when the two meet, the space is certified without solving over Q.
 
-Both readings eliminate block by block: `_blocks` splits the rows into
-the connected components of their row/column incidence, which share no
-key and no row.  The corank is the sum over the blocks, and the null
-space is the union of the blocks' null spaces, ordered by leading key,
-which is the RREF basis of the whole system.  For the basic
-Weitzenboeck derivation the blocks refine the (degree, weight) grading,
-since D and [., D] raise the weight by 2, but the split needs no weight
-and works for any linear D.
+Each reading is one `linalg` call on the whole system, with no split
+into parts.  The elimination updates only the rows that hold the pivot
+column, so parts of a system that share no key, such as the (degree,
+weight) blocks of the basic Weitzenboeck derivation (D and [., D] raise
+the weight by 2), cost what they would cost apart.
 
 The images under D^i come from one chain per derivation, `PowerChain`:
 each level of a degree block is computed from the one before, and the
@@ -41,7 +38,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import repeat
 from math import comb
 from typing import Sequence
@@ -115,78 +111,29 @@ def _sparse_rows(columns) -> list[linalg.SparseRow]:
     return list(rows.values())
 
 
-def _blocks(rows: list[linalg.SparseRow]) -> list[tuple[list[int], list[linalg.SparseRow]]]:
-    """The independent blocks of a system: the connected components of the
-    incidence of its (nonempty) rows and their columns.
-
-    Each block comes as (its columns in ascending order, its rows with the
-    columns renumbered by their place in that list).  Rows keep their
-    order, and no row or column is in two blocks, so eliminating the
-    blocks one by one gives the rank and the reduced rows of the whole.
-    Columns that occur in no row are in no block.
-    """
-    parent: dict[int, int] = {}
-
-    def find(j: int) -> int:
-        root = parent.setdefault(j, j)
-        while root != j:
-            parent[j] = j = parent[root]  # path halving
-            root = parent[j]
-        return j
-
-    for row in rows:
-        columns = iter(row)
-        first = find(next(columns))
-        for j in columns:
-            root = find(j)
-            if root != first:
-                parent[root] = first
-    grouped: dict[int, list[linalg.SparseRow]] = {}
-    for row in rows:
-        grouped.setdefault(find(next(iter(row))), []).append(row)
-    out = []
-    for block in grouped.values():
-        columns = sorted({j for row in block for j in row})
-        place = {j: k for k, j in enumerate(columns)}
-        out.append((columns, [{place[j]: x for j, x in row.items()} for row in block]))
-    return out
-
-
 def _null_combinations(keys: Sequence, columns) -> list[dict]:
     """Null space of a linear map on the span of finitely many basis keys.
 
     columns[j] holds the (key, coefficient) terms of the image of keys[j].
     Each null vector comes back as {key: coefficient}, RREF-normalized
-    against the order of keys.  The null space is that of each block,
-    plus a unit vector for every key whose image is zero; ordered by
-    leading key, these are the RREF basis of the whole null space.
+    against the order of keys.
     """
-    vectors: list[linalg.SparseRow] = []
-    free = set(range(len(keys)))
-    for block_columns, rows in _blocks(_sparse_rows(columns)):
-        free.difference_update(block_columns)
-        vectors += [
-            {block_columns[j]: x for j, x in v.items()}
-            for v in linalg.nullspace(rows, len(block_columns))
-        ]
-    vectors += [{j: Fraction(1)} for j in free]
-    vectors.sort(key=min)  # the leading key of an RREF row is its pivot
-    return [{keys[j]: x for j, x in v.items()} for v in vectors]
+    return [
+        {keys[j]: x for j, x in v.items()}
+        for v in linalg.nullspace(_sparse_rows(columns), len(keys))
+    ]
 
 
 def _corank(keys: Sequence, columns) -> int | None:
     """The counting twin of _null_combinations.
 
-    The number of keys minus the rank mod MODULUS of the same system,
-    summed over its blocks: an upper bound on the dimension of its null
-    space over Q, since a rank mod p is at most the rank over Q.  None
-    when MODULUS divides a denominator of the system.
+    The number of keys minus the rank mod MODULUS of the same system: an
+    upper bound on the dimension of its null space over Q, since a rank
+    mod p is at most the rank over Q.  None when MODULUS divides a
+    denominator of the system.
     """
     try:
-        return len(keys) - sum(
-            linalg.rank(rows, len(block_columns), MODULUS)
-            for block_columns, rows in _blocks(_sparse_rows(columns))
-        )
+        return len(keys) - linalg.rank(_sparse_rows(columns), len(keys), MODULUS)
     except ZeroDivisionError:
         return None
 
@@ -565,7 +512,8 @@ def _commutator_system(D: Derivation, degree: int, chain: PowerChain | None):
     if degree < 0:
         raise PreconditionError("degree must be >= 0")
     n = D.nvars
-    # each degree's system is sparse, but its elimination scans every key
+    # the elimination touches only the rows of each pivot, but the keys
+    # of every degree are listed and their images built
     _guard(n, degree, n)
     chain = _chain_for(D, chain)
     units = [tuple(int(j == i) for j in range(n)) for i in range(n)]

@@ -4,6 +4,7 @@ Rows and vectors are sparse: column index to nonzero Fraction entry.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -236,6 +237,57 @@ def test_solve_many_matches_reference(matrix, data):
         assert [sum((c * rows[k][i] for k, c in x.items()), F(0))
                 for i in range(length)] == target
     assert solve_many([sparse(v) for v in rows], []) == []
+
+
+@given(matrices, st.sampled_from([2, 3, 5, MODULUS]), st.data())
+def test_row_order_changes_no_result(matrix, modulus, data):
+    # The pivot row of a column is the sparsest candidate, so a shuffle of
+    # the rows changes which rows are updated, empty out or gain fill, but
+    # none of the results.  The system's rows are also the coordinates of
+    # the vectors solve_many takes: its columns are the matrix's columns.
+    rows, ncols = matrix
+    order = data.draw(st.permutations(range(len(rows))))
+    columns = [[row[j] for row in rows] for j in range(ncols)]
+    targets = [combination(data.draw, columns, len(rows)),
+               data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))]
+
+    def readings(order):
+        m = [sparse(rows[i]) for i in order]
+        reduced, pivots = rref(m, ncols)
+        try:
+            rank_mod = rank(m, ncols, modulus=modulus)
+        except ZeroDivisionError:
+            rank_mod = None
+        solutions = solve_many([sparse([c[i] for i in order]) for c in columns],
+                               [sparse([t[i] for i in order]) for t in targets])
+        return (
+            [dense(row, ncols) for row in reduced], pivots, rank(m, ncols), rank_mod,
+            [dense(v, ncols) for v in nullspace(m, ncols)],
+            [None if x is None else dense(x, ncols) for x in solutions],
+        )
+
+    expected_rows, expected_pivots = reference_rref(rows)
+    divides = any(x.denominator % modulus == 0 for row in rows for x in row)
+    expected = (
+        expected_rows, expected_pivots, len(expected_pivots),
+        None if divides else reference_rank_mod(rows, ncols, modulus),
+        reference_nullspace(rows, ncols),
+        reference_solve_many(columns, targets),
+    )
+    assert readings(order) == readings(range(len(rows))) == expected
+
+
+def test_fill_and_cancellation_reach_the_column_index():
+    # Column 0 pivots on the sparsest row, [1, 2, 0, 0]: the dense row
+    # loses column 1, and the two other short rows gain it.
+    rows = [[1, 2, 1, 1], [1, 2, 0, 0], [1, 0, 3, 0], [1, 0, 0, 4]]
+    expected_rows, expected_pivots = reference_rref(rows)
+    for order in permutations(rows):
+        m = [sparse(row) for row in order]
+        reduced, pivots = rref(m, 4)
+        assert [dense(row, 4) for row in reduced] == expected_rows
+        assert pivots == expected_pivots
+        assert rank(m, 4) == rank(m, 4, modulus=MODULUS) == 4
 
 
 def test_solve_many_without_columns():

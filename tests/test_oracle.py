@@ -2,6 +2,7 @@
 
 import gc
 import random
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -30,7 +31,7 @@ from dercent.oracle import (
     rank_over_fractions,
     symbolic_rank,
 )
-from dercent.poly import Poly, monomials_up_to_degree
+from dercent.poly import Poly, monomials_of_degree, monomials_up_to_degree
 from dercent.registry import registry_entry
 from dercent.weitzenboeck import (
     centralizer_generators,
@@ -253,18 +254,18 @@ def block_systems(draw):
     return keys, [columns[key] for key in keys]
 
 
-class TestBlockedElimination:
-    """Block-by-block readings against one elimination of the whole system."""
+class TestOneElimination:
+    """Whole-system readings against the dense reference eliminations."""
 
     @given(block_systems())
-    def test_null_combinations_match_the_unsplit_solve(self, system):
+    def test_null_combinations_match_the_dense_solve(self, system):
         keys, columns = system
         assert oracle._null_combinations(keys, columns) == (
             reference_null_combinations(keys, columns)
         )
 
     @given(block_systems(), st.sampled_from([oracle.MODULUS, 2, 3, 5]))
-    def test_corank_matches_the_unsplit_count(self, system, modulus):
+    def test_corank_matches_the_dense_count(self, system, modulus):
         # small primes divide entries and denominators: ranks drop, or
         # the count says nothing (None)
         keys, columns = system
@@ -273,20 +274,27 @@ class TestBlockedElimination:
                 reference_corank(keys, columns, modulus)
             )
 
-    def test_weitzenboeck_blocks_refine_the_weights(self):
-        # D raises the weight by 2, so no block of the degree-4 system of
-        # D in 5 variables mixes weights; the largest has 8 of the 70 keys,
-        # the monomials of weight 0
-        n = 5
-        chain = PowerChain(weitzenboeck_derivation(n))
-        monos = chain.monomials(4)
-        images = chain.level(4, 1)
-        rows = oracle._sparse_rows(map(Poly.iter_terms, images))
-        blocks = oracle._blocks(rows)
-        for columns, _ in blocks:
-            assert len({monomial_weight(monos[j], n) for j in columns}) == 1
-        assert len(monos) == 70
-        assert max(len(columns) for columns, _ in blocks) == 8
+    def test_the_largest_invariant_block_of_the_binary_quintic(self):
+        # D in 6 variables on the degree-18 monomials of weight 0, the
+        # block of the degree-18 invariant.  The budgets fail a pivot
+        # search that scans every remaining row: it needs 16-22 s for the
+        # rank mod p alone.
+        n = 6
+        D = weitzenboeck_derivation(n)
+        keys = [m for m in monomials_of_degree(n, 18) if monomial_weight(m, n) == 0]
+        assert len(keys) == 967
+
+        def columns():
+            return (D(Poly(n, {m: 1})).iter_terms() for m in keys)
+
+        start = time.monotonic()
+        assert oracle._corank(keys, columns()) == 1
+        assert time.monotonic() - start < 2.0
+        start = time.monotonic()
+        (v,) = oracle._null_combinations(keys, columns())
+        assert time.monotonic() - start < 10.0
+        assert len(v) == 848
+        assert not D(Poly(n, v))
 
 
 class TestMultiplierExponents:
