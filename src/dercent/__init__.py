@@ -54,6 +54,7 @@ from .weitzenboeck import (
     commuting_derivation,
     generator_set,
     isobaric_components,
+    kernel_dimensions,
     monomial_weight,
     sl2_triple,
     weitzenboeck_derivation,
@@ -88,6 +89,7 @@ __all__ = [
     "generator_set",
     "isobaric_components",
     "jordan_nilpotent",
+    "kernel_dimensions",
     "kernel_generator_candidates",
     "kernel_power_basis",
     "linear_derivation",

@@ -71,6 +71,9 @@ class Derivation:
     def __call__(self, f: Poly) -> Poly:
         """Apply to a polynomial: sum_i fi * df/dxi.
 
+        An f of total degree at most 1 is read by its own coefficients,
+        without the action: self(c + sum a_j x_j) = sum a_j f_j.
+
         Raises ResourceLimitError when the image has a degree above
         DEGREE_CAP, or when a product of a term of f with a term of some fi
         would have degree FIELD_LIMIT or more, which no key can hold.
@@ -79,6 +82,14 @@ class Derivation:
             raise DimensionError(
                 f"polynomial has {f.nvars} variables, derivation {self.nvars}"
             )
+        degree = f.total_degree()
+        if degree <= 1:
+            return self._apply_linear(f)
+        return self._apply_steps(f, degree)
+
+    def _apply_steps(self, f: Poly, degree: int) -> Poly:
+        """self(f) by the steps of the action, for any f of total degree
+        `degree`."""
         action, coeff_degree = self._action()
         if not f or not action:
             return Poly.zero(self.nvars)
@@ -89,7 +100,7 @@ class Derivation:
         # FIELD_LIMIT on that field reads d or more.  So once no product
         # reaches FIELD_LIMIT every key is exact, and the image can pass
         # the cap only if bound does.
-        bound = f.total_degree() - 1 + coeff_degree
+        bound = degree - 1 + coeff_degree
         top = FIELD_BITS * self.nvars
         mask = FIELD_LIMIT - 1
         fterms = f.iter_terms()
@@ -121,8 +132,44 @@ class Derivation:
             )
         return Poly._raw(self.nvars, acc)
 
+    def _apply_linear(self, f: Poly) -> Poly:
+        """self(f) for f of total degree at most 1: sum a_j f_j over the
+        terms a_j x_j of f, the constant term mapping to zero.  The image
+        keys are those of the f_j, so the checks of __call__ reduce to
+        the degrees of the f_j it reads."""
+        n = self.nvars
+        if not f:
+            return Poly.zero(n)
+        cap = degree_cap()
+        top = FIELD_BITS * n
+        low = (1 << top) - 1
+        acc: dict[int, Scalar] = {}
+        get = acc.get
+        for k, a in f.iter_terms():
+            if k:
+                # the key of x_j holds 1 in the top field and in the field of
+                # x_j, which lies FIELD_BITS * (n - 1 - j) bits up
+                j = n - 1 - ((k & low).bit_length() - 1) // FIELD_BITS
+                for key, c in self.coeffs[j].iter_terms():
+                    val = a * c
+                    prev = get(key)
+                    acc[key] = val if prev is None else prev + val
+        # before the zeros go, acc holds every key read
+        if acc and max(acc) >> top >= FIELD_LIMIT:
+            raise ResourceLimitError(
+                f"derivation image term of degree {FIELD_LIMIT} or more exceeds "
+                f"cap {cap}"
+            )
+        if not all(acc.values()):
+            acc = {k: c for k, c in acc.items() if c}
+        if acc and max(acc) >> top > cap:
+            raise ResourceLimitError(
+                f"derivation image degree {max(acc) >> top} exceeds cap {cap}"
+            )
+        return Poly._raw(n, acc)
+
     def _action(self) -> tuple[list[tuple[int, int, Scalar]], int]:
-        """How __call__ applies self, built on first use and kept.
+        """How _apply_steps applies self, built on first use and kept.
 
         One step per term c*x^m of each coefficient f_i: the shift of the
         x_i field, the key of x^m less the key of x_i, and c.  A term x^k

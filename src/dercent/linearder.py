@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import prod
 from typing import Mapping, Sequence
 
@@ -56,25 +57,30 @@ def matrix_commutator(a: MatrixQ, b: MatrixQ) -> MatrixQ:
     )
 
 
+@cache
 def jordan_nilpotent(n: int) -> MatrixQ:
-    """Lower-triangular single nilpotent Jordan block (ones below diagonal)."""
+    """Lower-triangular single nilpotent Jordan block (ones below diagonal).
+
+    Built once per n; the matrix is immutable.
+    """
     return tuple(
         tuple(Fraction(1 if i == j + 1 else 0) for j in range(n)) for i in range(n)
     )
 
 
-def shift_powers(n: int) -> list[MatrixQ]:
+@cache
+def shift_powers(n: int) -> tuple[MatrixQ, ...]:
     """The powers N^0, ..., N^(n-1) of N = jordan_nilpotent(n).
 
-    N^k has its ones on the k-th subdiagonal.
+    N^k has its ones on the k-th subdiagonal.  Built once per n.
     """
-    return [
+    return tuple(
         tuple(
             tuple(Fraction(1 if i == j + k else 0) for j in range(n))
             for i in range(n)
         )
         for k in range(n)
-    ]
+    )
 
 
 def matrix_to_json(a: MatrixQ) -> dict:
@@ -174,7 +180,7 @@ def _peel_jordan_block(T: Derivation) -> tuple[tuple[MatrixQ, ...], tuple[RatFun
             p = p - nums[k] * xs[i - k] * x1_powers[i - 1 - k]
         nums.append(p)
         phis.append(RatFunc(p, x1_powers[i + 1]))
-    return tuple(shift_powers(n)), tuple(phis)
+    return shift_powers(n), tuple(phis)
 
 
 def decompose_over_constants(T: Derivation, a: MatrixQ) -> FDecomposition:

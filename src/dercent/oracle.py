@@ -27,7 +27,9 @@ The images under D^i come from one chain per derivation, `PowerChain`:
 each level of a degree block is computed from the one before, and the
 first and the deepest level reached are kept, so the counting bounds,
 the exact kernel bases and (its first level) the [., D] systems of one
-verification run all read the same images.  On a degree block of N
+D all read the same images.  (`verify` takes its counts for the basic
+Weitzenboeck D from the sl2 closed form instead; the counting bounds
+here are the brute-force path for any linear D.)  On a degree block of N
 monomials Ker D^i stops growing once i reaches N (Fitting's lemma), so
 the chain applies at most N powers, and it stops at a level that is
 zero.  Likewise `SpanProducts` builds the products c*s of the span
@@ -421,7 +423,7 @@ def certified_span_dimension(
 
     Decided by counting, with the products and the checks of
     module_span_check; bounds[t] is an upper bound on dim (Ker D^power)_t,
-    as kernel_dimension_bounds gives.  When every kernel generator g is
+    as kernel_dimension_bounds or weitzenboeck.kernel_dimensions give.  When every kernel generator g is
     homogeneous with D(g) = 0 and every element s of degree at most the
     cap is homogeneous with D^power(s) = 0, each product c*s lies in
     Ker D^power (the elements above the cap form no product), so in each

@@ -330,10 +330,13 @@ class Poly:
             )
 
     def __add__(self, other: "Poly | Scalar") -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.nvars, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
+        # a Poly operand is tested first: a failed isinstance check against
+        # Fraction goes through its ABC metaclass, several times slower
+        if type(other) is not Poly:
+            if isinstance(other, (int, Fraction)):
+                other = Poly.constant(self.nvars, other)
+            elif not isinstance(other, Poly):
+                return NotImplemented
         self._check_same_ring(other)
         out = dict(self._terms)
         for k, c in other._terms.items():
@@ -351,17 +354,18 @@ class Poly:
         return Poly._raw(self.nvars, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "Poly | Scalar") -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.nvars, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
+        if type(other) is not Poly:
+            if isinstance(other, (int, Fraction)):
+                other = Poly.constant(self.nvars, other)
+            elif not isinstance(other, Poly):
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other: Scalar) -> "Poly":
         return (-self) + other
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Poly and isinstance(other, (int, Fraction)):
             c = _normalize_scalar(other)
             if not c:
                 return Poly.zero(self.nvars)
@@ -416,10 +420,11 @@ class Poly:
         return result
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.nvars, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
+        if type(other) is not Poly:
+            if isinstance(other, (int, Fraction)):
+                other = Poly.constant(self.nvars, other)
+            elif not isinstance(other, Poly):
+                return NotImplemented
         return self.nvars == other.nvars and self._terms == other._terms
 
     def __hash__(self) -> int:

@@ -11,14 +11,17 @@ checks are also the `oracle verify-thm2` and `oracle verify-prop1`
 commands.
 
 The span and ladder items are settled by counting first (a rank mod p
-of elements known to lie in the space against an upper bound on its
-dimension); only when the counts differ do they solve over Q, so a
-failing item gets the exact certificate.  `oracle verify-thm2` always
-solves over Q, because it prints the witnesses.
+of elements known to lie in the space, or the number of ladders, against
+the dimension of the space); only when the counts differ do they solve
+over Q, so a failing item gets the exact certificate.  The dimensions are
+the sl2 counts of `weitzenboeck.kernel_dimensions`, which rest on the
+triple's relations (the sl2 item checks them); the oracle's mod-p coranks
+remain the counting bounds for a general linear D.  `oracle verify-thm2`
+always solves over Q, because it prints the witnesses.
 
 A run builds what its items share once: one chain of D^i images of the
-unit monomials (for the counting bounds, the exact kernel bases and the
-[., D] systems) and one table of span products c*s (for every level).
+unit monomials (for the exact kernel bases and the [., D] systems) and
+one table of span products c*s (for every level).
 """
 
 from __future__ import annotations
@@ -38,11 +41,10 @@ from .oracle import (
     GradedBasis,
     PowerChain,
     SpanProducts,
+    _guard,
     centralizer_basis,
-    centralizer_dimension_bound,
     certified_span_dimension,
     derivation_span_equal,
-    kernel_dimension_bounds,
     kernel_power_basis,
     module_span_check,
     rank_over_fractions,
@@ -54,6 +56,7 @@ from .weitzenboeck import (
     GeneratorSet,
     commuting_derivation,
     generator_set,
+    kernel_dimensions,
     ladder_generators,
     sl2_triple,
     weitzenboeck_derivation,
@@ -139,24 +142,28 @@ class VerificationRun:
             S, self.kernel_gens, target, self.degree, self.products
         )
 
-    def kernel_bounds(self) -> list[list[int]] | None:
-        """Upper bounds on dim (Ker D^i)_t for every level i and degree t."""
-        return self._once(
-            ("kernel_bounds",), kernel_dimension_bounds,
-            self.D, self.n, self.degree, self.chain,
-        )
+    def kernel_bounds(self) -> list[list[int]]:
+        """dim (Ker D^i)_t for every level i and degree t, by the sl2 count.
+
+        The monomial guard of the exact bases runs first, so beyond the cap
+        the span items report what the exact kernel bases would.
+        """
+        def count():
+            _guard(self.n, self.degree)
+            return kernel_dimensions(self.n, self.n, self.degree)
+
+        return self._once(("kernel_bounds",), count)
 
     def span_verdict(self, level: int) -> tuple[GeneratorSet, int, dict | None]:
         """(generating set, dimension of the kernel of D^level, failure
         certificate or None): span_check, unless counting certifies it."""
         S = self.generator_set(level)
-        bounds = self.kernel_bounds()
-        if bounds is not None:
-            dimension = certified_span_dimension(
-                S, self.kernel_gens, self.D, level, bounds[level - 1], self.products
-            )
-            if dimension is not None:
-                return S, dimension, None
+        dimension = certified_span_dimension(
+            S, self.kernel_gens, self.D, level, self.kernel_bounds()[level - 1],
+            self.products,
+        )
+        if dimension is not None:
+            return S, dimension, None
         target, result = self.span_check(level)
         return S, target.dimension(), None if result.ok else result.certificate
 
@@ -165,14 +172,16 @@ class VerificationRun:
 
         The last coefficient of the ladder of f is f, so the ladders of a
         basis of Ker D^n are independent.  If each commutes with D, their
-        count is a lower bound on the dimension of the centralizer, and
-        an upper bound equal to it certifies the equality without
-        enumerating the centralizer.
+        count is a lower bound on the dimension of the centralizer.  The
+        ladders identify the centralizer with Ker D^n, so the sl2 count of
+        Ker D^n up to the degree is that dimension, and a count equal to it
+        certifies the equality without enumerating the centralizer.
         """
-        # the bound's unknowns guard is the centralizer's, and it runs
-        # first: beyond the cap the item reports the same error as the
-        # exact enumeration, not the smaller kernel basis's monomial cap
-        bound = centralizer_dimension_bound(self.D, self.degree, self.chain)
+        # the centralizer's unknowns guard runs first: beyond the cap the
+        # item reports the same error as the exact enumeration, not the
+        # smaller kernel basis's monomial cap
+        _guard(self.n, self.degree, self.n)
+        bound = sum(self.kernel_bounds()[self.n - 1])
         ladders = [
             commuting_derivation(f, self.n) for f in self.kernel(self.n).vectors
         ]

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterator, Sequence
 
 from .derivation import Derivation
@@ -79,6 +80,51 @@ def monomial_weight(exponent: Exponent, n: int) -> int:
     if len(exponent) != n:
         raise PreconditionError("exponent length does not match n")
     return sum(a * (n - 2 * i - 1) for i, a in enumerate(exponent))
+
+
+def kernel_dimensions(n: int, power: int, degree: int) -> list[list[int]]:
+    """dims[i - 1][t] = dim (Ker D^i)_t for the basic Weitzenboeck D, for
+    i = 1..power and t = 0..degree.
+
+    The sl2 triple splits the degree-t polynomials into irreducibles V_w,
+    V_w occurring q(t, w) - q(t, w + 2) times, where q(t, w) counts the
+    degree-t monomials of weight w; Ker D^i meets V_w in dimension
+    min(i, w + 1) (the Cayley-Sylvester count).  The numbers q come from
+    the generating function prod_j 1/(1 - t*u^(n - 2j + 1)), expanded one
+    variable at a time, with no monomial list and no matrix.  Past level
+    w + 1 for the largest weight w every level has the same dimensions,
+    so those levels repeat one list.
+    """
+    if n < 1:
+        raise PreconditionError("n must be >= 1")
+    if power < 1:
+        raise PreconditionError("power must be >= 1")
+    if degree < 0:
+        raise PreconditionError("degree must be >= 0")
+    top = (n - 1) * degree  # the largest weight of a monomial of degree <= degree
+    width = 2 * top + 1
+    # q[t][top + w] = q(t, w); multiplying by 1/(1 - t*u^a) adds to each
+    # degree the counts of the one below, already multiplied, shifted by a
+    q = [[0] * width for _ in range(degree + 1)]
+    q[0][top] = 1
+    for j in range(1, n + 1):
+        a = n - 2 * j + 1
+        for t in range(1, degree + 1):
+            below, row = q[t - 1], q[t]
+            for k in range(max(0, a), min(width, width + a)):
+                row[k] += below[k - a]
+    # irreducibles[t][w] = multiplicity of V_w among the degree-t polynomials
+    irreducibles = [
+        [row[top + w] - (row[top + w + 2] if w + 2 <= top else 0) for w in range(top + 1)]
+        for row in q
+    ]
+    levels = min(power, top + 1)
+    dims = [
+        [sum(m * min(i, w + 1) for w, m in enumerate(counts)) for counts in irreducibles]
+        for i in range(1, levels + 1)
+    ]
+    dims.extend(repeat(dims[-1], power - levels))
+    return dims
 
 
 def isobaric_components(f: Poly) -> list[tuple[int, Poly]]:

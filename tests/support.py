@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 import dercent.verify
@@ -427,11 +428,18 @@ def reference_centralizer_basis(D: Derivation, degree: int) -> list[Derivation]:
     return out
 
 
+@cache
+def _weight_counts(n: int, degree: int) -> Counter:
+    """weight -> number of degree-d monomials in n variables of that weight,
+    from the monomial list."""
+    return Counter(monomial_weight(m, n) for m in monomials_of_degree(n, degree))
+
+
 def sl2_kernel_dimension(n: int, power: int, degree: int) -> int:
     """dim (Ker D^power)_degree for the basic Weitzenboeck derivation, from
     sl2 theory: sum over w >= 0 of (p(d, w) - p(d, w + 2)) * min(power, w + 1),
     with p(d, w) the number of degree-d monomials of weight w."""
-    p = Counter(monomial_weight(m, n) for m in monomials_of_degree(n, degree))
+    p = _weight_counts(n, degree)
     return sum((p[w] - p[w + 2]) * min(power, w + 1)
                for w in range(max(p, default=-1) + 1))
 

@@ -18,7 +18,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import dercent
-from dercent import __version__, cli, oracle, weitzenboeck
+from dercent import __version__, cli, oracle, verify, weitzenboeck
 from dercent.cli import main, write_json
 from dercent.derivation import Derivation
 from dercent.linearder import (
@@ -553,19 +553,44 @@ class TestPinnedOutput:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+FALLBACK_REPORTS = [
+    (("verify", "--n", "4", "--deg", "5"),
+     "baa47ad7e60b2926ae560cfefe71144beb0ef9e4a6479771de17562b4d4d1af9"),
+    (("oracle", "verify-prop1", "--n", "4", "--deg", "3"),
+     "03752c4bde88544b9939b0a8345f873ad1982c7e9852f9ea3bd265fd99eea71e"),
+]
+
+
 class TestCountingFallback:
     """When counting certifies nothing, the exact solve gives the same report."""
 
-    @pytest.mark.parametrize("argv, digest", [
-        (("verify", "--n", "4", "--deg", "5"),
-         "baa47ad7e60b2926ae560cfefe71144beb0ef9e4a6479771de17562b4d4d1af9"),
-        (("oracle", "verify-prop1", "--n", "4", "--deg", "3"),
-         "03752c4bde88544b9939b0a8345f873ad1982c7e9852f9ea3bd265fd99eea71e"),
-    ])
+    @pytest.mark.parametrize("argv, digest", FALLBACK_REPORTS)
     def test_modulus_two(self, capsys, monkeypatch, argv, digest):
-        # mod 2 the counts fall short, so every item is solved over Q
+        # mod 2 the ranks of the span products fall short, so the span
+        # items are solved over Q; the ladder item counts against the sl2
+        # count, which no prime enters, so it still needs no exact solve
+        span_solves = count_calls(monkeypatch, "module_span_check")
         ladder_solves = count_calls(monkeypatch, "derivation_span_equal")
         monkeypatch.setattr(oracle, "MODULUS", 2)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert bool(span_solves) == (argv[0] == "verify")
+        assert not ladder_solves
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, digest", FALLBACK_REPORTS)
+    def test_closed_form_one_short(self, capsys, monkeypatch, argv, digest):
+        # a count one short of the ladders forces the ladder item (and the
+        # top span item) to solve over Q, which finds the same spans
+        exact = verify.kernel_dimensions
+
+        def one_short(n, power, degree):
+            dims = [list(row) for row in exact(n, power, degree)]
+            dims[-1][-1] -= 1
+            return dims
+
+        monkeypatch.setattr(verify, "kernel_dimensions", one_short)
+        ladder_solves = count_calls(monkeypatch, "derivation_span_equal")
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert ladder_solves

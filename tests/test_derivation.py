@@ -19,8 +19,9 @@ from dercent.linearder import linear_derivation, matrix
 from dercent.oracle import centralizer_basis
 from dercent.poly import JSONText, Poly
 from dercent.ratfunc import RatFunc
-from dercent.weitzenboeck import weitzenboeck_derivation
-from test_poly import keyed_poly_st, nvars_st, poly_st
+from dercent.registry import registry_entry
+from dercent.weitzenboeck import commuting_derivation, weitzenboeck_derivation
+from test_poly import keyed_poly_st, nvars_st, poly_st, small_fraction
 
 from support import random_derivation, random_poly, reference_apply, tuple_terms
 
@@ -91,6 +92,52 @@ class TestApplyAgainstTupleReference:
         monkeypatch.setattr(poly_mod, "DEGREE_CAP", poly_mod.FIELD_LIMIT)
         with pytest.raises(ResourceLimitError):
             D3(x3)
+
+
+def linear_poly_st(n):
+    """c + sum a_j x_j with int, Fraction and zero coefficients."""
+    coeff = st.one_of(st.just(0), st.integers(-30, 30), small_fraction())
+    return st.lists(coeff, min_size=n + 1, max_size=n + 1).map(
+        lambda cs: Poly(n, {tuple(int(i == j) for i in range(n)): c
+                            for j, c in enumerate(cs[:n])} | {(0,) * n: cs[n]})
+    )
+
+
+class TestApplyLinearForm:
+    """An argument of degree <= 1 is read by its coefficients, not the steps."""
+
+    @given(data=st.data(), n=st.integers(1, 8))
+    def test_matches_the_step_loop(self, data, n):
+        D = Derivation(tuple(data.draw(keyed_poly_st(n, 6, max_terms=3)) for _ in range(n)))
+        f = data.draw(linear_poly_st(n))
+        image = D(f)
+        assert "_action_cache" not in D.__dict__
+        assert tuple_terms(image) == tuple_terms(D._apply_steps(f, f.total_degree()))
+        assert all(c for _, c in image.iter_terms())
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_commutes_builds_no_action_of_the_ladder(self, n):
+        D = weitzenboeck_derivation(n)
+        T = commuting_derivation(registry_entry(n).generators[-1], n)
+        assert T.commutes(D)
+        assert "_action_cache" not in T.__dict__
+
+    def test_image_past_a_lowered_cap_raises(self, monkeypatch):
+        D = Derivation((x1**3, x2, Poly.zero(3)))
+        E = Derivation((x1**3, -(x1**3), Poly.zero(3)))
+        monkeypatch.setattr(poly_mod, "DEGREE_CAP", 2)
+        assert D(2 * x2 + 5) == 2 * x2
+        for apply in (D, lambda f: D._apply_steps(f, 1)):
+            with pytest.raises(ResourceLimitError, match="image degree 3 exceeds cap 2"):
+                apply(x1 + x2)
+        # terms past the cap may cancel
+        assert E(x1 + x2) == Poly.zero(3)
+
+    def test_a_coefficient_past_the_field_width_raises(self):
+        D = Derivation((Poly(3, {(200, 100, 0): 1}), Poly.zero(3), Poly.zero(3)))
+        for apply in (D, lambda f: D._apply_steps(f, 1)):
+            with pytest.raises(ResourceLimitError, match="degree 256 or more"):
+                apply(x1)
 
 
 class TestBracket:

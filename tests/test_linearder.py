@@ -72,7 +72,7 @@ class TestCommutant:
         powers = [matrix_identity(n)]
         for _ in range(n - 1):
             powers.append(matrix_mul(powers[-1], jordan_nilpotent(n)))
-        assert shift_powers(n) == powers
+        assert shift_powers(n) == tuple(powers)
 
     def test_distinct_diagonal(self):
         basis = matrix_commutant(matrix([[1, 0], [0, 2]]))

@@ -37,6 +37,7 @@ from dercent.weitzenboeck import (
     centralizer_generators,
     commuting_derivation,
     generator_set,
+    kernel_dimensions,
     monomial_weight,
     weitzenboeck_derivation,
 )
@@ -468,6 +469,41 @@ class TestCountingBounds:
             for power in range(1, n + 1)
         ]
 
+    @pytest.mark.parametrize("n, degree", [(3, 5), (4, 5), (5, 4)])
+    def test_closed_form_is_the_corank_and_the_exact_dimension(self, n, degree):
+        D = weitzenboeck_derivation(n)
+        chain = PowerChain(D)
+        dims = kernel_dimensions(n, n, degree)
+        assert dims == kernel_dimension_bounds(D, n, degree, chain)
+        for power in range(1, n + 1):
+            assert dims[power - 1] == [
+                sl2_kernel_dimension(n, power, t) for t in range(degree + 1)
+            ]
+            vectors = kernel_power_basis(D, power, degree, chain).vectors
+            assert dims[power - 1] == [
+                sum(v.total_degree() == t for v in vectors) for t in range(degree + 1)
+            ]
+
+    def test_closed_form_through_degree_18(self):
+        # n = 6: the covariants of the binary quintic, whose largest
+        # invariant has degree 18 (values only; no basis is built)
+        assert kernel_dimensions(6, 6, 18) == [
+            [sl2_kernel_dimension(6, power, t) for t in range(19)]
+            for power in range(1, 7)
+        ]
+
+    def test_closed_form_repeats_past_the_largest_weight(self):
+        # degree 2 at n = 3 has weights up to 4, so levels past 5 repeat
+        dims = kernel_dimensions(3, 40, 2)
+        assert dims == kernel_dimension_bounds(D3, 40, 2)
+        assert all(row is dims[-1] for row in dims[5:])
+        assert kernel_dimensions(1, 3, 4) == [[1] * 5] * 3
+
+    @pytest.mark.parametrize("args", [(0, 1, 1), (3, 0, 1), (3, 1, -1)])
+    def test_closed_form_refuses_bad_arguments(self, args):
+        with pytest.raises(PreconditionError):
+            kernel_dimensions(*args)
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_centralizer_bound_is_the_ladder_count(self, n):
         D = weitzenboeck_derivation(n)
@@ -475,6 +511,7 @@ class TestCountingBounds:
             expected = sum(sl2_kernel_dimension(n, n, t) for t in range(d + 1))
             assert centralizer_dimension_bound(D, d) == expected
             assert kernel_power_basis(D, n, d).dimension() == expected
+            assert sum(kernel_dimensions(n, n, d)[n - 1]) == expected
 
     def test_two_jordan_blocks(self):
         # Jordan type (3, 2): counting and the exact readings agree
