@@ -423,12 +423,12 @@ def certified_span_dimension(
 
     Decided by counting, with the products and the checks of
     module_span_check; bounds[t] is an upper bound on dim (Ker D^power)_t,
-    as kernel_dimension_bounds or weitzenboeck.kernel_dimensions give.  When every kernel generator g is
-    homogeneous with D(g) = 0 and every element s of degree at most the
-    cap is homogeneous with D^power(s) = 0, each product c*s lies in
-    Ker D^power (the elements above the cap form no product), so in each
-    degree t rank_p(products) <= dim span <= dim (Ker D^power)_t <=
-    bounds[t].  If the two ends meet in every degree the span is the
+    as kernel_dimension_bounds or weitzenboeck.kernel_dimensions give.
+    When every kernel generator g is homogeneous with D(g) = 0 and every
+    element s of degree at most the cap is homogeneous with
+    D^power(s) = 0, each product c*s lies in Ker D^power (the elements
+    above the cap form no product), so in each degree t
+    rank_p(products) <= dim span <= dim (Ker D^power)_t <= bounds[t].  If the two ends meet in every degree the span is the
     whole kernel and its dimension is returned.  None means counting did
     not decide: module_span_check has to.
     """
