@@ -94,12 +94,13 @@ def write_json(obj, write) -> None:
     `str`, `int`, `bool` and `None` are encoded as they are.  `Ladders`
     are written as a list, each ladder built when the writer reaches it,
     so one is held at a time (`json.dumps` has no encoding for them).  A
-    `Poly` or a `Derivation` is written as the text its `to_json(text,
-    level)` encodes, with one JSONText for the whole document, so neither
-    builds its `to_json()` tree.  Any other object with a `to_json()` method is
-    encoded as what that method returns, called when the writer reaches
-    it, so each object's tree lives only while it is written.  Anything
-    else (floats included) raises TypeError.
+    `Poly` is written as the text its `to_json(text, level)` encodes, with
+    one JSONText for the whole document, so it builds no `to_json()`
+    tree; a `Derivation` is written as the mapping {"coeffs": coeffs,
+    "nvars": n}, its coefficients as Polys.  Any other object with a
+    `to_json()` method is encoded as what that method returns, called
+    when the writer reaches it, so each object's tree lives only while it
+    is written.  Anything else (floats included) raises TypeError.
     """
     out: list[str] = []
     append = out.append
@@ -116,7 +117,17 @@ def write_json(obj, write) -> None:
 
     def encode(o, level: int) -> None:
         nonlocal pending
-        if isinstance(o, str):
+        # Polys first: they are the bulk of every large report
+        if isinstance(o, Poly):
+            encoded = o.to_json(text, level)
+            if len(encoded) > _BLOCK_CHARS:
+                flush()
+                for i in range(0, len(encoded), _BLOCK_CHARS):
+                    write(encoded[i:i + _BLOCK_CHARS])
+            else:
+                append(encoded)
+                pending += len(encoded)
+        elif isinstance(o, str):
             append(_encode_str(o))
         elif o is None:
             append("null")
@@ -154,15 +165,8 @@ def write_json(obj, write) -> None:
                     first = sep
                 append(newline[level])
                 append("]")
-        elif isinstance(o, (Poly, Derivation)):
-            encoded = o.to_json(text, level)
-            if len(encoded) > _BLOCK_CHARS:
-                flush()
-                for i in range(0, len(encoded), _BLOCK_CHARS):
-                    write(encoded[i:i + _BLOCK_CHARS])
-            else:
-                append(encoded)
-                pending += len(encoded)
+        elif isinstance(o, Derivation):
+            encode({"coeffs": o.coeffs, "nvars": o.nvars}, level)
         elif hasattr(o, "to_json"):
             encode(o.to_json(), level)
         else:

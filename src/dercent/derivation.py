@@ -16,7 +16,6 @@ from .errors import DimensionError, PreconditionError, ResourceLimitError
 from .poly import (
     FIELD_BITS,
     FIELD_LIMIT,
-    JSONText,
     Poly,
     Scalar,
     degree_cap,
@@ -228,24 +227,11 @@ class Derivation:
 
     # -- serialization and display --------------------------------------------
 
-    def to_json(self, text: JSONText | None = None, level: int = 0) -> dict | str:
-        """The JSON form {"nvars": n, "coeffs": [f1, ..., fn]}, each fi in
-        the form of `Poly.to_json`: a plain tree, or with `text` the
-        encoded text nested `level` levels deep."""
-        if text is None:
-            return {"nvars": self.nvars, "coeffs": [c.to_json() for c in self.coeffs]}
-        text.indent(level + 2)
-        newline, comma = text.newline, text.comma
-        closing = comma[level + 1] + '"nvars": ' + str(self.nvars) + newline[level] + "}"
-        if not self.coeffs:
-            return "{" + newline[level + 1] + '"coeffs": []' + closing
-        # one join copies each coefficient's text once
-        parts = []
-        for c in self.coeffs:
-            parts += (comma[level + 2], c.to_json(text, level + 2))
-        parts[0] = "{" + newline[level + 1] + '"coeffs": [' + newline[level + 2]
-        parts.append(newline[level + 1] + "]" + closing)
-        return "".join(parts)
+    def to_json(self) -> dict:
+        """{"nvars": n, "coeffs": [f1, ..., fn]}, each fi as `Poly.to_json()`
+        gives it.  `cli.write_json` writes a derivation as the mapping
+        {"coeffs": coeffs, "nvars": n} instead, so no tree is built."""
+        return {"nvars": self.nvars, "coeffs": [c.to_json() for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Derivation":

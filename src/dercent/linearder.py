@@ -34,29 +34,6 @@ def matrix(rows: Sequence[Sequence]) -> MatrixQ:
     return tuple(out)
 
 
-def matrix_identity(n: int) -> MatrixQ:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-
-
-def matrix_mul(a: MatrixQ, b: MatrixQ) -> MatrixQ:
-    n = len(a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def matrix_commutator(a: MatrixQ, b: MatrixQ) -> MatrixQ:
-    n = len(a)
-    ab = matrix_mul(a, b)
-    ba = matrix_mul(b, a)
-    return tuple(
-        tuple(ab[i][j] - ba[i][j] for j in range(n)) for i in range(n)
-    )
-
-
 @cache
 def jordan_nilpotent(n: int) -> MatrixQ:
     """Lower-triangular single nilpotent Jordan block (ones below diagonal).

@@ -56,9 +56,6 @@ MONOMIAL_COUNT_CAP = 20_000
 # residue is one CPython digit; any prime gives sound bounds.
 MODULUS = 2**30 - 35
 
-# Degree caps for the kernel-candidate search, keyed by variable count.
-CANDIDATE_DEGREE_CAP = {2: 6, 3: 6, 4: 6, 5: 4, 6: 3}
-
 # Samples rank_over_fractions draws after the first two before the
 # symbolic path decides.
 RANK_SAMPLE_RETRIES = 4
@@ -687,21 +684,17 @@ def kernel_generator_candidates(n: int, degree: int) -> list[Poly]:
     earlier candidates come first and the kernel basis after them, as
     columns, and the picks are the basis columns that become pivots.
     The output provably spans Ker D up to the requested degree but is
-    only a candidate list as an algebra generating set beyond it.
+    only a candidate list as an algebra generating set beyond it.  The
+    monomial guard of every oracle system bounds the search.
     """
-    cap = CANDIDATE_DEGREE_CAP.get(n)
-    if cap is None:
-        raise PreconditionError(f"candidate search supports 2 <= n <= 6, got {n}")
-    if degree > cap:
-        raise ResourceLimitError(
-            f"degree {degree} exceeds the candidate-search cap {cap} for n={n}"
-        )
     chain = PowerChain(weitzenboeck_derivation(n))
-    one = Poly.constant(n, 1)
+    if degree < 0:
+        raise PreconditionError("degree must be >= 0")
+    _guard(n, degree)
     candidates: list[Poly] = []
     for t in range(1, degree + 1):
-        _, spanning = _span_products([one], candidates, t)
-        columns = [p for _, _, p in spanning if p.total_degree() == t]
+        columns = [p for _, p, p_degree in _multiplier_table(n, candidates, t)
+                   if p_degree == t]
         products = len(columns)
         columns += _kernel_block(chain, 1, t)
         rows = _sparse_rows(map(Poly.iter_terms, columns))

@@ -168,14 +168,6 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Exponent]:
     return out
 
 
-def monomials_up_to_degree(nvars: int, degree: int) -> list[Exponent]:
-    """All exponent tuples of total degree <= degree, ascending by degree."""
-    out: list[Exponent] = []
-    for d in range(degree + 1):
-        out.extend(monomials_of_degree(nvars, d))
-    return out
-
-
 class Poly:
     """Immutable sparse polynomial with exact rational coefficients."""
 

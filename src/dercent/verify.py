@@ -40,6 +40,7 @@ from .linearder import (
 from .oracle import (
     GradedBasis,
     PowerChain,
+    SpanCheckResult,
     SpanProducts,
     _guard,
     centralizer_basis,
@@ -54,10 +55,10 @@ from .registry import registry_entry
 from .weitzenboeck import (
     CentralizerGenerator,
     GeneratorSet,
+    Ladders,
     commuting_derivation,
     generator_set,
     kernel_dimensions,
-    ladder_generators,
     sl2_triple,
     weitzenboeck_derivation,
 )
@@ -131,13 +132,24 @@ class VerificationRun:
     def generators(self) -> list[CentralizerGenerator]:
         return self._once(
             ("generators",),
-            lambda: list(ladder_generators(self.n, self.generator_set(self.n))),
+            lambda: list(Ladders(self.n, self.generator_set(self.n))),
         )
 
     def span_check(self, level: int):
-        """(kernel basis, SpanCheckResult) of D^level."""
+        """(kernel basis, SpanCheckResult) of D^level.
+
+        The solve shows only that the kernel lies in the span of the
+        products c*s; with a kernel generator outside Ker D those products
+        need not lie in the kernel, so such a generator fails the check
+        first.
+        """
         S = self.generator_set(level)
         target = self.kernel(level)
+        for j, g in enumerate(self.kernel_gens):
+            if self.D(g):
+                return target, SpanCheckResult(
+                    False, {"generator_outside_kernel": j, "generator": g.to_json()}
+                )
         return target, module_span_check(
             S, self.kernel_gens, target, self.degree, self.products
         )

@@ -27,8 +27,9 @@ from .poly import Exponent, Poly
 def weitzenboeck_derivation(n: int) -> Derivation:
     """x1*d2 + x2*d3 + ... + x(n-1)*dn.
 
-    Built once per n: the value is immutable, and the action that applying
-    it builds is kept with it, so each ladder of a generator set reuses it.
+    Built once per n, like sl2_triple(n): the value is immutable, and the
+    action that applying it builds is kept with it, so each ladder of a
+    generator set reuses it.
     """
     if n < 1:
         raise PreconditionError("n must be >= 1")
@@ -55,11 +56,14 @@ class Sl2Triple:
             raise PreconditionError("[h, dhat] != -2*dhat")
 
 
+@cache
 def sl2_triple(n: int) -> Sl2Triple:
     """The triple around the basic Weitzenboeck derivation.
 
     dhat sends x_i to i*(n-i)*x_(i+1) and h scales x_i by n-2i+1; the
-    commutation relations are re-verified exactly at construction.
+    commutation relations are verified exactly at construction.  Built
+    once per n: the triple is immutable, so every generator set of n
+    lowers with the same dhat and the relations are checked once.
     """
     if n < 2:
         raise PreconditionError("sl2 triple needs n >= 2")
@@ -278,10 +282,13 @@ class CentralizerGenerator:
 class Ladders:
     """The centralizer generators of a generator set, each built when read.
 
-    `len` is the number of elements of the set.  Each iteration builds
-    the ladders anew, one per element in turn, and keeps none, so a
-    writer holds one ladder at a time; a caller that reads them more than
-    once keeps a list.
+    One derivation per element s, with ladder D^(n-i)(s).  Every s must
+    satisfy D^n(s) = 0; one that does not comes from kernel generators
+    that are not kernel elements, and building its ladder raises
+    RegistryError.  `len` is the number of elements of the set.  Each
+    iteration builds the ladders anew, one per element in turn, and keeps
+    none, so a writer holds one ladder at a time; a caller that reads
+    them more than once keeps a list.
     """
 
     def __init__(self, n: int, S: GeneratorSet):
@@ -308,8 +315,8 @@ class Ladders:
 def centralizer_generators(n: int, kernel_gens: Sequence[Poly]) -> Ladders:
     """Module generators of the centralizer of the Weitzenboeck derivation.
 
-    The ladders of the level-n generator set, built when read (see
-    ladder_generators).  Every element s is checked to satisfy D^n(s) = 0
+    The ladders of the level-n generator set, as Ladders that build each
+    one when it is read.  Every element s is checked to satisfy D^n(s) = 0
     before this returns, so a corrupt registry raises RegistryError
     before any ladder is read.  When every kernel generator g has
     D(g) = 0 that holds without building a ladder: D^(k+1) Dhat^k g = 0
@@ -317,20 +324,9 @@ def centralizer_generators(n: int, kernel_gens: Sequence[Poly]) -> Ladders:
     such images whose lowering powers sum to at most n-1.  Otherwise
     every ladder is built once, and dropped, to check its element.
     """
-    ladders = ladder_generators(n, generator_set(n, kernel_gens, n))
+    ladders = Ladders(n, generator_set(n, kernel_gens, n))
     D = weitzenboeck_derivation(n)
     if any(D(g) for g in kernel_gens):
         for _ in ladders:
             pass
     return ladders
-
-
-def ladder_generators(n: int, S: GeneratorSet) -> Ladders:
-    """The derivations with ladder D^(n-i)(s), one per element s of S.
-
-    The sequence builds each ladder when it is read.  Every s must
-    satisfy D^n(s) = 0; a violation means the kernel generators S was
-    built from were not actually kernel elements, and building that
-    element's ladder raises RegistryError.
-    """
-    return Ladders(n, S)

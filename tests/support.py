@@ -26,6 +26,31 @@ from dercent.registry import KernelEntry, load_registry, registry_to_json
 from dercent.weitzenboeck import GenElement, GeneratorSet, monomial_weight, sl2_triple
 
 
+def monomials_up_to_degree(nvars: int, degree: int) -> list[tuple]:
+    """All exponent tuples of total degree <= degree, ascending by degree."""
+    return [m for d in range(degree + 1) for m in monomials_of_degree(nvars, d)]
+
+
+def matrix_identity(n: int) -> tuple:
+    return tuple(
+        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
+    )
+
+
+def matrix_mul(a, b) -> tuple:
+    n = len(a)
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def matrix_commutator(a, b) -> tuple:
+    """ab - ba."""
+    ab, ba = matrix_mul(a, b), matrix_mul(b, a)
+    return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(ab, ba))
+
+
 def random_exponent(rng: random.Random, nvars: int, max_degree: int) -> tuple:
     while True:
         exp = tuple(rng.randint(0, max_degree) for _ in range(nvars))

@@ -25,7 +25,6 @@ from dercent.linearder import (
     jordan_nilpotent,
     linear_derivation,
     matrix,
-    matrix_mul,
     matrix_to_json,
 )
 from dercent.poly import Poly
@@ -37,7 +36,13 @@ from dercent.weitzenboeck import (
     sl2_triple,
 )
 
-from support import count_calls, random_derivation, random_poly, write_registry
+from support import (
+    count_calls,
+    matrix_mul,
+    random_derivation,
+    random_poly,
+    write_registry,
+)
 
 
 def run_cli(capsys, *argv):
@@ -356,6 +361,8 @@ class TestVerifyCommand:
         assert "fraction-rank" in names
 
     def test_corrupted_registry_fails_order_check(self, capsys, tmp_path):
+        # x2 is not in Ker D: the span items refuse it before they solve,
+        # and the element x2*x3 fails the order check of the ladders
         generators = load_registry()[3].generators + (Poly.variable(3, 1),)
         bad = write_registry(tmp_path / "bad_registry.json", 3, generators)
         code, out, _ = run_cli(
@@ -364,8 +371,41 @@ class TestVerifyCommand:
         assert code == 1
         data = json.loads(out)
         failure = data["result"]["first_failure"]
-        assert failure["name"] == "centralizer-commutation"
-        assert "not annihilated" in failure["detail"]
+        assert failure["name"] == "power-kernel-span-i1"
+        assert failure["certificate"] == {
+            "generator_outside_kernel": 2,
+            "generator": Poly.variable(3, 1).to_json(),
+        }
+        items = {item["name"]: item for item in data["result"]["items"]}
+        commutation = items["centralizer-commutation"]
+        assert not commutation["ok"]
+        assert "not annihilated" in commutation["detail"]
+
+    def test_generator_outside_the_kernel_fails_the_span_items(
+        self, capsys, tmp_path
+    ):
+        # x3 is not in Ker D.  Dhat(x3) = 0, so the generating sets are
+        # those of the shipped registry, but the multipliers c now include
+        # the powers of x3, and the products c*s with x3 in c lie outside
+        # Ker D^i.  A solve shows only that Ker D^i lies in their span.
+        generators = load_registry()[3].generators + (Poly.variable(3, 2),)
+        bad = write_registry(tmp_path / "x3_registry.json", 3, generators)
+        argv = ("--n", "3", "--deg", "3", "--registry", bad)
+        certificate = {"generator_outside_kernel": 2,
+                       "generator": Poly.variable(3, 2).to_json()}
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 1
+        items = {item["name"]: item for item in json.loads(out)["result"]["items"]}
+        for level in (1, 2, 3):
+            span = items[f"power-kernel-span-i{level}"]
+            assert not span["ok"]
+            assert span["certificate"] == certificate
+        assert all(item["ok"] for name, item in items.items()
+                   if not name.startswith("power-kernel-span-"))
+        code, out, _ = run_cli(capsys, "oracle", "verify-thm2", *argv)
+        assert code == 1
+        checks = json.loads(out)["result"]["certificate"]
+        assert [c["certificate"] for c in checks] == [certificate] * 3
 
     def test_non_integer_search_degree_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "registry.json"
@@ -721,6 +761,23 @@ class TestPolyWriter:
             assert written(obj) == json.dumps(obj, indent=2, sort_keys=True,
                                               default=lambda o: o.to_json()) + "\n"
 
+    def test_derivation_is_written_as_its_coefficient_mapping(self, monkeypatch):
+        rng = random.Random(5)
+        derivations = [random_derivation(rng, n) for n in (0, 1, 3, 3, 4)]
+        trees = [T.to_json() for T in derivations]
+
+        def refuse(self):
+            raise AssertionError("Derivation.to_json called by the writer")
+
+        monkeypatch.setattr(Derivation, "to_json", refuse)
+        # nested 0, 1, 2 and 3 levels deep
+        wraps = (lambda x: x, lambda x: [x], lambda x: {"d": [x]},
+                 lambda x: {"a": [{"b": x}]})
+        for T, tree in zip(derivations, trees):
+            for wrap in wraps:
+                assert written(wrap(T)) == json.dumps(
+                    wrap(tree), indent=2, sort_keys=True) + "\n"
+
     def test_a_poly_larger_than_a_block_is_written_in_blocks(self):
         p = (sum(Poly.variables(4), Poly.constant(4, 1))) ** 14
         writes = []
@@ -731,14 +788,20 @@ class TestPolyWriter:
         assert max(map(len, writes)) <= cli._BLOCK_CHARS
 
     def test_reports_never_build_a_poly_tree(self, capsys, monkeypatch):
-        # every Poly and Derivation is encoded through to_json(text, level)
+        # every Poly is encoded through to_json(text, level), and every
+        # Derivation as the mapping of its coefficients, without to_json
         calls = []
-        for cls in (Poly, Derivation):
-            def spied_to_json(self, text=None, level=0, to_json=cls.to_json):
-                calls.append(text)
-                return to_json(self, text, level)
+        to_json = Poly.to_json
 
-            monkeypatch.setattr(cls, "to_json", spied_to_json)
+        def spied_to_json(self, text=None, level=0):
+            calls.append(text)
+            return to_json(self, text, level)
+
+        def refuse(self):
+            raise AssertionError("Derivation.to_json called by the writer")
+
+        monkeypatch.setattr(Poly, "to_json", spied_to_json)
+        monkeypatch.setattr(Derivation, "to_json", refuse)
         for argv in (("centralizer", "--n", "4"), ("gens", "--n", "5"), ("sl2", "--n", "3")):
             code, out, err = run_cli(capsys, *argv)
             assert code == 0, err

@@ -1,6 +1,5 @@
 """Derivations: action, bracket, conjugation, constants that are rational functions."""
 
-import json
 import random
 from fractions import Fraction
 
@@ -17,7 +16,7 @@ import dercent.poly as poly_mod
 from dercent.errors import DimensionError, PreconditionError, ResourceLimitError
 from dercent.linearder import linear_derivation, matrix
 from dercent.oracle import centralizer_basis
-from dercent.poly import JSONText, Poly
+from dercent.poly import Poly
 from dercent.ratfunc import RatFunc
 from dercent.registry import registry_entry
 from dercent.weitzenboeck import commuting_derivation, weitzenboeck_derivation
@@ -275,8 +274,3 @@ class TestProperties:
     @given(T=derivation_st())
     def test_json_round_trip(self, T):
         assert Derivation.from_json(T.to_json()) == T
-
-    @given(T=derivation_st())
-    def test_text_form_encodes_the_tree(self, T):
-        expected = json.dumps(T.to_json(), indent=2, sort_keys=True)
-        assert T.to_json(JSONText(), 1) == expected.replace("\n", "\n  ")

@@ -16,10 +16,7 @@ from dercent.linearder import (
     linear_derivation,
     matrix,
     matrix_commutant,
-    matrix_commutator,
     matrix_from_json,
-    matrix_identity,
-    matrix_mul,
     matrix_to_json,
     shift_powers,
     verify_decomposition,
@@ -29,7 +26,14 @@ from dercent.poly import Poly
 from dercent.ratfunc import RatFunc
 from dercent.weitzenboeck import weitzenboeck_derivation
 
-from support import dense, reference_decompose, sparse
+from support import (
+    dense,
+    matrix_commutator,
+    matrix_identity,
+    matrix_mul,
+    reference_decompose,
+    sparse,
+)
 
 x1, x2, x3 = Poly.variables(3)
 a2 = x1 * x3 - Fraction(1, 2) * x2**2

@@ -31,7 +31,7 @@ from dercent.oracle import (
     rank_over_fractions,
     symbolic_rank,
 )
-from dercent.poly import Poly, monomials_of_degree, monomials_up_to_degree
+from dercent.poly import Poly, monomials_of_degree
 from dercent.registry import registry_entry
 from dercent.weitzenboeck import (
     centralizer_generators,
@@ -43,6 +43,7 @@ from dercent.weitzenboeck import (
 )
 
 from support import (
+    monomials_up_to_degree,
     random_nonzero_poly,
     reference_centralizer_basis,
     reference_corank,
@@ -791,11 +792,21 @@ class TestKernelCandidates:
             for c in kernel_generator_candidates(n, d):
                 assert not D(c)
 
-    def test_caps_enforced(self):
+    def test_guard_bounds_the_search(self):
+        D = weitzenboeck_derivation(7)
+        cands = kernel_generator_candidates(7, 6)
+        assert cands and all(not D(c) for c in cands)
+        # comb(6 + 13, 13) = 27,132 monomials exceed the cap of 20,000
+        with pytest.raises(ResourceLimitError, match="27132 monomials"):
+            kernel_generator_candidates(6, 13)
         with pytest.raises(PreconditionError):
-            kernel_generator_candidates(7, 2)
-        with pytest.raises(ResourceLimitError):
-            kernel_generator_candidates(5, 5)
+            kernel_generator_candidates(0, 2)
+        with pytest.raises(PreconditionError):
+            kernel_generator_candidates(3, -1)
+
+    def test_deeper_n6_search_starts_with_the_shipped_entry(self):
+        cands = kernel_generator_candidates(6, 7)
+        assert cands[:6] == list(registry_entry(6).generators)
 
 
 class TestRegistry:

@@ -17,12 +17,12 @@ from dercent.poly import (
     Poly,
     monomial_key,
     monomials_of_degree,
-    monomials_up_to_degree,
     poly_divexact,
 )
 
 from support import (
     grlex_key,
+    monomials_up_to_degree,
     reference_add,
     reference_divexact,
     reference_evaluate,

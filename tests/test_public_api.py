@@ -1,12 +1,14 @@
-"""Every exported name is used by the package itself, or is kept on purpose.
+"""Every exported name and every module-level function and class of the
+package is used by the package itself, or is kept on purpose.
 
-A name in `dercent.__all__` counts as used when some module of the
-package, other than `__init__.py`, loads it outside its own definition:
-by its bare name, or as an attribute of a package module (`linalg.rank`).
-Type annotations do not count, and neither does a local variable or
-parameter that shares the name.  A name that no command or check uses
-but that an open ROADMAP item plans to use is listed in `KEPT` with the
-reason.
+A name counts as used when some module of the package, other than
+`__init__.py`, loads it outside its own definition: by its bare name, or
+as an attribute of a package module (`linalg.rank`).  Type annotations do
+not count, and neither does a local variable or parameter that shares the
+name.  A name that no command or check uses but that an open ROADMAP item
+plans to use, or that the benchmark or the tests need from the package,
+is listed in `KEPT` with the reason.  Helpers only the tests call live in
+`tests/support.py`.
 """
 
 import ast
@@ -20,6 +22,13 @@ KEPT = {
     "conjugate": "ROADMAP item 9: the rank theorem for conjugated locally "
     "nilpotent derivations",
     "PolyAutomorphism": "ROADMAP item 9: the automorphism that conjugate takes",
+    "in_row_space": "ROADMAP item 8: perfbench/spans.py traces linalg.in_row_space",
+    "kernel_dimension_bounds": "the tests' brute-force bound on the kernels of "
+    "the powers of a general linear D (ROADMAP items 3 and 6)",
+    "centralizer_dimension_bound": "the tests' brute-force bound on the "
+    "centralizer of a general linear D (ROADMAP items 3 and 6)",
+    "validate_entry": "the kernel registry's own check of an entry, which "
+    "ROADMAP item 2 needs",
 }
 
 
@@ -75,12 +84,18 @@ class Loads(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def package_modules() -> dict[str, ast.Module]:
+    """The parsed modules of the package, `__init__.py` left out."""
+    return {
+        path.stem: ast.parse(path.read_text())
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+
+
 def package_loads() -> set[str]:
     found: set[str] = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text())
+    for tree in MODULES.values():
         modules = {
             alias.asname or alias.name
             for node in tree.body
@@ -95,7 +110,19 @@ def package_loads() -> set[str]:
     return found
 
 
+def package_definitions() -> set[str]:
+    """`module.name` for every module-level function and class."""
+    return {
+        f"{module}.{statement.name}"
+        for module, tree in MODULES.items()
+        for statement in tree.body
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+
+
+MODULES = package_modules()
 LOADED = package_loads()
+DEFINED = package_definitions()
 
 
 def test_every_exported_name_is_used_or_kept():
@@ -103,6 +130,15 @@ def test_every_exported_name_is_used_or_kept():
     assert unused == [], f"exported but used by no module: {unused}"
 
 
-def test_kept_names_are_exported_and_otherwise_unused():
-    assert set(KEPT) <= set(dercent.__all__)
+def test_every_module_level_definition_is_used_or_kept():
+    unused = sorted(
+        q for q in DEFINED
+        if q.rpartition(".")[2] not in LOADED | set(KEPT)
+    )
+    assert unused == [], f"defined but used by no module: {unused}"
+
+
+def test_kept_names_are_defined_and_otherwise_unused():
+    defined = {q.rpartition(".")[2] for q in DEFINED}
+    assert set(KEPT) <= defined
     assert sorted(set(KEPT) & LOADED) == []

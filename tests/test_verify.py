@@ -1,16 +1,21 @@
 """Verification suite: what a run builds, how often and at which size."""
 
 from dercent import oracle
-from dercent.poly import Poly, monomials_up_to_degree
+from dercent.poly import Poly
 from dercent.registry import load_registry
 from dercent.verify import DECOMPOSE_DEGREE_CAP, run_verification
 
-from support import count_calls, count_unit_applications, write_registry
+from support import (
+    count_calls,
+    count_unit_applications,
+    monomials_up_to_degree,
+    write_registry,
+)
 
 
 def test_each_construction_built_once_per_run(monkeypatch):
     counted = {
-        "ladder_generators": count_calls(monkeypatch, "ladder_generators"),
+        "Ladders": count_calls(monkeypatch, "Ladders"),
         # keyed by the coefficient degree
         "centralizer_basis": count_calls(
             monkeypatch, "centralizer_basis", key=lambda args: args[1]
@@ -37,7 +42,7 @@ def test_each_construction_built_once_per_run(monkeypatch):
     # is built only for the ladders (level n), the centralizer only for the
     # decompose item at its cap, and no span is solved over Q
     expected = {
-        "ladder_generators": {None: 1},
+        "Ladders": {None: 1},
         "centralizer_basis": {DECOMPOSE_DEGREE_CAP: 1},
         "kernel_power_basis": {4: 1},
         "generator_set": {level: 1 for level in range(1, 5)},
@@ -61,7 +66,7 @@ def test_failed_construction_is_not_rebuilt(monkeypatch, tmp_path):
     # x2 is not a kernel element, so the centralizer generators cannot be built
     generators = load_registry()[3].generators + (Poly.variable(3, 1),)
     bad = write_registry(tmp_path / "bad_registry.json", 3, generators)
-    calls = count_calls(monkeypatch, "ladder_generators")
+    calls = count_calls(monkeypatch, "Ladders")
     items = {item.name: item for item in run_verification(3, 3, registry_path=bad)}
     assert calls == {None: 1}
     commutation, rank = items["centralizer-commutation"], items["fraction-rank"]

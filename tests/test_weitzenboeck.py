@@ -10,14 +10,14 @@ from dercent.derivation import Derivation
 from dercent.errors import PreconditionError, RegistryError
 from dercent.linalg import solve_many
 from dercent.oracle import centralizer_basis
-from dercent.poly import Poly, monomials_up_to_degree
+from dercent.poly import Poly
 from dercent.registry import registry_entry
 from dercent.weitzenboeck import (
     centralizer_generators,
     commuting_derivation,
     generator_set,
+    Ladders,
     isobaric_components,
-    ladder_generators,
     monomial_weight,
     sl2_triple,
     weitzenboeck_derivation,
@@ -25,6 +25,7 @@ from dercent.weitzenboeck import (
 
 from support import (
     match_up_to_scalar,
+    monomials_up_to_degree,
     poly_scalar_multiple,
     random_poly,
     reference_generator_set,
@@ -52,6 +53,23 @@ class TestSl2Triple:
     def test_small_n_rejected(self):
         with pytest.raises(PreconditionError):
             sl2_triple(1)
+
+    def test_built_once_per_n(self, monkeypatch):
+        assert sl2_triple(5) is sl2_triple(5)
+        # a generator set lowers with the kept dhat: building it again
+        # checks no relation again
+        gens = registry_entry(5).generators
+        generator_set(5, gens, 5)
+        brackets = []
+        bracket = Derivation.bracket
+
+        def spied_bracket(self, other):
+            brackets.append(other)
+            return bracket(self, other)
+
+        monkeypatch.setattr(Derivation, "bracket", spied_bracket)
+        generator_set(5, gens, 5)
+        assert brackets == []
 
     def test_lowering_images_of_x1(self):
         t = sl2_triple(3)
@@ -89,7 +107,7 @@ class TestCommutingDerivation:
         # D is built once per n and kept, not once per ladder
         S = generator_set(4, registry_entry(4).generators, 4)
         weitzenboeck_derivation.cache_clear()
-        ladders = ladder_generators(4, S)
+        ladders = Ladders(4, S)
         assert len(ladders) == len(S.elements) > 1
         assert all(g.derivation == commuting_derivation(g.element.poly, 4) for g in ladders)
         assert weitzenboeck_derivation.cache_info().misses == 1
