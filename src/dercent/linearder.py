@@ -116,7 +116,8 @@ class FDecomposition:
     `derivation` = sum_j coefficients[j] * linear_derivation(basis[j]),
     with each rational-function coefficient annihilated by the linear
     derivation.  Construct through decompose_over_constants; validate
-    with verify_decomposition.
+    with verify_decomposition.  `to_json()` leaves the derivation and the
+    coefficients as objects, for the writer to encode.
     """
 
     derivation: Derivation
@@ -125,9 +126,9 @@ class FDecomposition:
 
     def to_json(self) -> dict:
         return {
-            "derivation": self.derivation.to_json(),
+            "derivation": self.derivation,
             "basis": [matrix_to_json(m) for m in self.basis],
-            "coefficients": [c.to_json() for c in self.coefficients],
+            "coefficients": self.coefficients,
         }
 
 

@@ -72,8 +72,11 @@ def _check_linear(D: Derivation) -> None:
 
 
 def _guard(nvars: int, degree: int, coefficients: int | None = None) -> None:
-    """Refuse a system whose keys, the monomials of degree <= degree or for
-    derivations that many coefficients each, exceed MONOMIAL_COUNT_CAP."""
+    """Refuse a negative degree, and a system whose keys, the monomials of
+    degree <= degree or for derivations that many coefficients each, exceed
+    MONOMIAL_COUNT_CAP."""
+    if degree < 0:
+        raise PreconditionError("degree must be >= 0")
     count = (coefficients or 1) * comb(nvars + degree, degree)
     if count > MONOMIAL_COUNT_CAP:
         keys = f"of degree <= {degree} in {nvars} variables"
@@ -84,7 +87,8 @@ def _guard(nvars: int, degree: int, coefficients: int | None = None) -> None:
 
 @dataclass(frozen=True)
 class GradedBasis:
-    """An exact basis of a graded subspace of polynomials up to a degree."""
+    """An exact basis of a graded subspace of polynomials up to a degree;
+    `to_json()` leaves the vectors as Polys, for the writer to encode."""
 
     degree_cap: int
     vectors: tuple[Poly, ...]
@@ -96,7 +100,7 @@ class GradedBasis:
         return {
             "degree_cap": self.degree_cap,
             "dimension": len(self.vectors),
-            "vectors": [v.to_json() for v in self.vectors],
+            "vectors": self.vectors,
         }
 
 
@@ -206,8 +210,6 @@ def _kernel_block(chain: PowerChain, power: int, degree: int) -> list[Poly]:
 def _check_kernel_args(D: Derivation, power: int, degree: int) -> None:
     if power < 1:
         raise PreconditionError("power must be >= 1")
-    if degree < 0:
-        raise PreconditionError("degree must be >= 0")
     _check_linear(D)
     _guard(D.nvars, degree)
 
@@ -469,21 +471,15 @@ def module_span_check(
     come from the given table or a new one.
     """
     _, spanning = _span_products(S, kernel_gens, degree, products)
-
-    # One solve: the products are the unknowns' columns and the target
-    # vectors ride along.  linalg.solve_many takes columns, so the rows of
-    # the one assembly are read back column by column.
-    polys = [p for _, _, p in spanning] + list(target.vectors)
-    columns: list[linalg.SparseRow] = [{} for _ in polys]
-    for i, row in enumerate(_sparse_rows(map(Poly.iter_terms, polys))):
-        for j, c in row.items():
-            columns[j][i] = c
-    solutions = linalg.solve_many(columns[: len(spanning)], columns[len(spanning):])
+    # One solve: the products are the unknowns' columns, keyed by monomial,
+    # and the target vectors ride along.
+    solutions = linalg.solve_many([dict(p.iter_terms()) for _, _, p in spanning],
+                                  [dict(v.iter_terms()) for v in target.vectors])
     witnesses = []
     for t_idx, (v, sol) in enumerate(zip(target.vectors, solutions)):
         if sol is None:
             return SpanCheckResult(
-                False, {"failed_target_index": t_idx, "failed_target": v.to_json()}
+                False, {"failed_target_index": t_idx, "failed_target": v}
             )
         combination = [
             {
@@ -508,8 +504,6 @@ def _commutator_system(D: Derivation, degree: int, chain: PowerChain | None):
     of D (the given one or a new one).
     """
     _check_linear(D)
-    if degree < 0:
-        raise PreconditionError("degree must be >= 0")
     n = D.nvars
     # the elimination touches only the rows of each pivot, but the keys
     # of every degree are listed and their images built
@@ -688,8 +682,6 @@ def kernel_generator_candidates(n: int, degree: int) -> list[Poly]:
     monomial guard of every oracle system bounds the search.
     """
     chain = PowerChain(weitzenboeck_derivation(n))
-    if degree < 0:
-        raise PreconditionError("degree must be >= 0")
     _guard(n, degree)
     candidates: list[Poly] = []
     for t in range(1, degree + 1):

@@ -40,6 +40,7 @@ from .linearder import (
 from .oracle import (
     GradedBasis,
     PowerChain,
+    RankResult,
     SpanCheckResult,
     SpanProducts,
     _guard,
@@ -73,7 +74,7 @@ class ItemResult:
     name: str
     ok: bool
     detail: str
-    certificate: dict | None = None
+    certificate: dict | RankResult | None = None
 
     def to_json(self) -> dict:
         out = {"name": self.name, "ok": self.ok, "detail": self.detail}
@@ -148,7 +149,7 @@ class VerificationRun:
         for j, g in enumerate(self.kernel_gens):
             if self.D(g):
                 return target, SpanCheckResult(
-                    False, {"generator_outside_kernel": j, "generator": g.to_json()}
+                    False, {"generator_outside_kernel": j, "generator": g}
                 )
         return target, module_span_check(
             S, self.kernel_gens, target, self.degree, self.products
@@ -244,7 +245,7 @@ def run_verification(
                 return (
                     False,
                     f"generator from s = {g.element.poly} does not commute",
-                    {"element": g.element.to_json()},
+                    {"element": g.element},
                 )
         count = len(run.generators)
         return True, f"all {count} constructed generators commute exactly", None
@@ -264,7 +265,7 @@ def run_verification(
         for T in run.centralizer(cap):
             dec = decompose_over_constants(T, block)
             if not verify_decomposition(dec, D):
-                return False, f"round-trip failed for {T}", {"derivation": T.to_json()}
+                return False, f"round-trip failed for {T}", {"derivation": T}
         return (
             True,
             f"every enumerated centralizer element of coefficient degree <= "
@@ -278,7 +279,7 @@ def run_verification(
             result.rank == n,
             f"rank {result.rank} over the fraction field (expected {n}), "
             f"method {result.method}",
-            result.to_json() if result.rank != n else None,
+            result if result.rank != n else None,
         )
 
     return [

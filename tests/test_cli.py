@@ -57,6 +57,11 @@ def payload(capsys, *argv):
     return json.loads(out)
 
 
+# the registries of write_inputs with a generator outside Ker D: a verify
+# report that reads one fails and exits 1
+OUTSIDE_KERNEL = ("x2_registry.json", "x3_registry.json")
+
+
 def write_inputs(directory):
     """The input files of the pinned `rank`, `bracket` and `decompose` runs.
 
@@ -66,6 +71,8 @@ def write_inputs(directory):
     A = P J P^-1 and T = sum_j q_j * D_(A^j), the fraction-free solve.
     `rescaled.json` is the packaged registry with each n=5 generator
     multiplied by a rational, so the generator-set scales are fractions.
+    The registries of OUTSIDE_KERNEL add x2 or x3, which are not in Ker D,
+    to the n=3 generators.
     """
     t = sl2_triple(4)
     (directory / "rank.json").write_text(
@@ -110,6 +117,8 @@ def write_inputs(directory):
               Fraction(4, 9)]
     write_registry(directory / "rescaled.json", 5,
                    [g * c for g, c in zip(load_registry()[5].generators, scales)])
+    for name, x in zip(OUTSIDE_KERNEL, Poly.variables(3)[1:]):
+        write_registry(directory / name, 3, load_registry()[3].generators + (x,))
 
 
 class TestEnvelope:
@@ -562,6 +571,16 @@ class TestPinnedOutput:
              "eb2839cd0ba7c81acc369ad42fd0f2346402d8b7d26a38fc222dac048ec9c1ed"),
             (("centralizer", "--n", "5", "--registry", "rescaled.json"),
              "30f8d98f9dc34524830b9ebb6ff677c0bd568cbf6fdb5fc9f0e8324f9a11e069"),
+            # failure certificates holding polynomials and derivations,
+            # recorded while their objects still built to_json() trees:
+            # element and rank certificates (x2), generator_outside_kernel
+            # (x3), and a kernel basis large enough to reuse exponent texts
+            (("verify", "--n", "3", "--deg", "3", "--registry", "x2_registry.json"),
+             "72dd25ffd7fb29cd796b094b5f8c633aba323b035f81165d4380ba7926db1f2a"),
+            (("verify", "--n", "3", "--deg", "3", "--registry", "x3_registry.json"),
+             "af0e4bd858d05d20ce312b2c17dc8a4482f5b5d05805729fd587a70f628d51ae"),
+            (("oracle", "kernel", "--n", "4", "--power", "2", "--deg", "6"),
+             "6594d004ffc748b16fd9000c7e214363c602ba1f97dfa4b1e1934914d4831903"),
         ],
     )
     def test_stdout_digest(self, capsys, tmp_path, monkeypatch, argv, digest):
@@ -569,7 +588,7 @@ class TestPinnedOutput:
         monkeypatch.chdir(tmp_path)
         write_inputs(tmp_path)
         code, out, err = run_cli(capsys, *argv)
-        assert code == 0, err
+        assert code == (1 if argv[-1] in OUTSIDE_KERNEL else 0), err
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
@@ -787,9 +806,13 @@ class TestPolyWriter:
         assert len("".join(writes)) > 2 * cli._BLOCK_CHARS
         assert max(map(len, writes)) <= cli._BLOCK_CHARS
 
-    def test_reports_never_build_a_poly_tree(self, capsys, monkeypatch):
+    def test_reports_never_build_a_poly_tree(self, capsys, tmp_path, monkeypatch):
         # every Poly is encoded through to_json(text, level), and every
-        # Derivation as the mapping of its coefficients, without to_json
+        # Derivation as the mapping of its coefficients, without to_json:
+        # decompositions, kernel bases and failure certificates included
+        monkeypatch.chdir(tmp_path)
+        write_inputs(tmp_path)
+        write_registry(tmp_path / "short.json", 4, load_registry()[4].generators[:-1])
         calls = []
         to_json = Poly.to_json
 
@@ -802,11 +825,29 @@ class TestPolyWriter:
 
         monkeypatch.setattr(Poly, "to_json", spied_to_json)
         monkeypatch.setattr(Derivation, "to_json", refuse)
-        for argv in (("centralizer", "--n", "4"), ("gens", "--n", "5"), ("sl2", "--n", "3")):
+        for argv, expected in (
+            (("centralizer", "--n", "4"), 0),
+            (("gens", "--n", "5"), 0),
+            (("sl2", "--n", "3"), 0),
+            (("decompose", "--input", "dec.json"), 0),
+            (("decompose", "--input", "solved.json"), 0),
+            (("oracle", "kernel", "--n", "4", "--power", "2", "--deg", "3"), 0),
+            (("rank", "--input", "rank_q.json"), 0),
+            (("bracket", "--input", "pair.json"), 0),
+            # element, rank and generator_outside_kernel certificates
+            (("verify", "--n", "3", "--deg", "3", "--registry", "x2_registry.json"), 1),
+            (("verify", "--n", "3", "--deg", "3", "--registry", "x3_registry.json"), 1),
+            # failed_target certificates
+            (("oracle", "verify-thm2", "--n", "4", "--deg", "4",
+              "--registry", "short.json"), 1),
+        ):
+            calls.clear()
             code, out, err = run_cli(capsys, *argv)
-            assert code == 0, err
+            assert code == expected, err
             json.loads(out)
-        assert calls and None not in calls
+            assert None not in calls, argv
+            if argv[0] != "rank":  # a rank report holds no polynomial
+                assert calls, argv
 
     def test_leaves_no_cyclic_garbage(self):
         # what a report's writer holds (its exponent texts, the ladders it

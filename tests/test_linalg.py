@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dercent import linalg
 from dercent.linalg import in_row_space, nullspace, rank, rref, solve_many
 from dercent.oracle import MODULUS
 
 from support import (
+    count_calls,
     dense,
     reference_nullspace,
     reference_rank_mod,
@@ -85,6 +87,20 @@ def test_nullspace_exactness():
     assert len(basis) == 1
     v = basis[0]
     assert F(1, 3) * v[0] + F(1, 7) * v[1] == 0
+    assert_sparse(basis)
+
+
+def test_nullspace_is_one_elimination(monkeypatch):
+    # taken right to left, the columns give null vectors already in reduced
+    # row-echelon form, so no second elimination normalizes them
+    reference = linalg.rref
+    calls = count_calls(monkeypatch, "rref", module=linalg)
+    # the third row is the sum of the first two: three free columns
+    rows = [{0: 1, 1: 2, 3: 1}, {1: 1, 2: -1, 4: 3}, {0: 1, 1: 3, 2: -1, 3: 1, 4: 3}]
+    basis = nullspace(rows, 5)
+    assert calls == {None: 1}
+    assert len(basis) == 3
+    assert reference(basis, 5)[0] == basis
     assert_sparse(basis)
 
 

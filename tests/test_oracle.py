@@ -358,7 +358,22 @@ class TestModuleSpanCheck:
             [Poly.constant(3, 1)], [a1, a2], target, 1
         )
         assert not result.ok
-        assert result.certificate["failed_target"] == x2.to_json()
+        assert result.certificate["failed_target"] == x2
+
+    def test_negative_degree_is_a_precondition(self):
+        # the monomial guard refuses it before it counts the monomials
+        S = generator_set(3, [a1, a2], 2)
+        target = kernel_power_basis(D3, 1, 0)
+        with pytest.raises(PreconditionError, match="degree must be >= 0"):
+            module_span_check(S, [a1, a2], target, -1)
+        with pytest.raises(PreconditionError, match="degree must be >= 0"):
+            certified_span_dimension(S, [a1, a2], D3, 1, [])
+        for build in (lambda: kernel_power_basis(D3, 1, -1),
+                      lambda: kernel_dimension_bounds(D3, 1, -1),
+                      lambda: centralizer_basis(D3, -1),
+                      lambda: centralizer_dimension_bound(D3, -1)):
+            with pytest.raises(PreconditionError, match="degree must be >= 0"):
+                build()
 
     def test_self_containment(self):
         S = generator_set(3, [a1, a2], 3)

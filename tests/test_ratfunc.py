@@ -70,10 +70,6 @@ class TestNormalization:
         assert phi.den.leading_coefficient() > 0
         assert phi == RatFunc(-x2, x1)
 
-    def test_json_round_trip(self):
-        phi = RatFunc(Fraction(1, 2) * x2**2 - x1 * x3, x1**2)
-        assert RatFunc.from_json(phi.to_json()) == phi
-
 
 class TestCrossMultiplicationProperty:
     @given(p=poly_st(), q=poly_st(), s=poly_st())

@@ -48,8 +48,9 @@ def test_each_construction_built_once_per_run(monkeypatch):
         "generator_set": {level: 1 for level in range(1, 5)},
         "module_span_check": {},
         "derivation_span_equal": {},
-        # one chain of D^i images serves the bounds, the exact kernel of D^4
-        # and both [., D] systems; one table serves the products of every level
+        # one chain of D^i images serves the exact kernel of D^4 and the one
+        # [., D] system, the decompose item's; one table serves the products
+        # of every level
         "unit_applications": {m: 1 for m in monomials_up_to_degree(4, 3)},
         "multiplier_table": {None: 1},
     }
