@@ -13,8 +13,8 @@ pivot row are never touched.  Over Q, `rref` and `solve_many` finish
 with a back substitution.  The pivot columns and the reduced form do not
 depend on which rows are chosen, so callers control the canonical form
 through their column ordering.  `nullspace` reads its basis off one
-`rref` of the columns taken right to left, which gives each free column's
-null vector already reduced.
+reduction of the columns taken right to left, which gives each free
+column's null vector already reduced.
 
 `rank` is the pivot count of the forward loop alone, over Q or over the
 prime field of a given modulus.  A rank mod p is a lower bound on the
@@ -195,15 +195,17 @@ def rank(rows: Sequence[SparseRow], ncols: int, modulus: int | None = None) -> i
 def nullspace(rows: Sequence[SparseRow], ncols: int) -> list[SparseRow]:
     """RREF-normalized basis of the right null space.
 
-    Column j is passed to `rref` as ncols - 1 - j, so the null vector of a
-    free column f is 1 at f and has its other entries at pivot columns
-    right of f: ordered by f, the vectors are the unique RREF of the basis.
+    Column j is eliminated as ncols - 1 - j, so the null vector of a free
+    column f is 1 at f and has its other entries at pivot columns right of
+    f: ordered by f, the vectors are the unique RREF of the basis.
     """
     last = ncols - 1
-    reduced, pivots = rref([{last - j: x for j, x in row.items()} for row in rows], ncols)
+    m = [{last - j: Fraction(x) for j, x in row.items() if x} for row in rows]
+    pivots = _eliminate(m, ncols)
+    _back_substitute(m, pivots)
     pivot_set = set(pivots)
     basis = {f: {f: Fraction(1)} for f in range(ncols) if last - f not in pivot_set}
-    for row, p in zip(reduced, pivots):
+    for row, p in zip(m, pivots):
         for f, x in row.items():
             if f != p:  # a reduced row is zero in the other pivot columns
                 basis[last - f][last - p] = -x

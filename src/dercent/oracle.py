@@ -33,7 +33,9 @@ here are the brute-force path for any linear D.)  On a degree block of N
 monomials Ker D^i stops growing once i reaches N (Fitting's lemma), so
 the chain applies at most N powers, and it stops at a level that is
 zero.  Likewise `SpanProducts` builds the products c*s of the span
-checks once per element for all levels.
+checks once per element for all levels.  Its multipliers c, which the
+candidate search reads too, come from `weitzenboeck.budget_products`,
+the enumeration of the generating sets, sorted by exponent vector.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from . import linalg
 from .derivation import Derivation
 from .errors import PreconditionError, ResourceLimitError
 from .poly import Exponent, Poly, monomial_key, monomials_of_degree
-from .weitzenboeck import GeneratorSet, weitzenboeck_derivation
+from .weitzenboeck import GeneratorSet, budget_products, weitzenboeck_derivation
 
 MONOMIAL_COUNT_CAP = 20_000
 
@@ -265,45 +267,20 @@ def kernel_dimension_bounds(
     return bounds
 
 
-def _multiplier_exponents(
-    gen_degrees: Sequence[int], budget: int
-) -> list[tuple[int, ...]]:
-    """Exponent vectors e with sum e_g * deg_g <= budget, the first
-    exponent varying slowest and each exponent ascending."""
-    count = len(gen_degrees)
-    if count == 0:
-        return [()]
-    out: list[tuple[int, ...]] = []
-    # Depth first over the leading exponents, the smallest popped first; a
-    # zero remainder has one completion, padded at once, as in
-    # poly.monomials_of_degree.
-    stack: list[tuple[tuple[int, ...], int]] = [((), budget)]
-    while stack:
-        prefix, remaining = stack.pop()
-        i = len(prefix)
-        if i == count - 1:
-            out += [prefix + (e,) for e in range(remaining // gen_degrees[i] + 1)]
-        elif not remaining:
-            out.append(prefix + (0,) * (count - i))
-        else:
-            step = gen_degrees[i]
-            stack += [(prefix + (e,), remaining - e * step)
-                      for e in range(remaining // step, -1, -1)]
-    return out
-
-
 def _multiplier_table(
     nvars: int, kernel_gens: Sequence[Poly], degree: int
 ) -> list[tuple[tuple[int, ...], Poly, int]]:
     """(exponents e, c = the product of the g**e_g, deg c) for every product
-    c of the (nonconstant) kernel generators with deg c <= degree."""
-    table = []
-    for evec in _multiplier_exponents([g.total_degree() for g in kernel_gens], degree):
-        p = Poly.constant(nvars, 1)
-        for g, e in zip(kernel_gens, evec):
-            if e:
-                p = p * g**e
-        table.append((evec, p, p.total_degree()))
+    c of the (nonconstant) kernel generators with deg c <= degree, by
+    ascending e; each c is a shorter one times one generator."""
+    table = [
+        (tuple(map(word.count, range(len(kernel_gens)))), c, c.total_degree())
+        for word, c in budget_products(
+            [g.total_degree() for g in kernel_gens], degree, Poly.constant(nvars, 1),
+            lambda p, j: p * kernel_gens[j],
+        )
+    ]
+    table.sort(key=lambda row: row[0])
     return table
 
 
@@ -311,9 +288,10 @@ class SpanProducts:
     """The products c*s of the span checks against one list of kernel
     generators up to one degree cap, built once and shared.
 
-    c runs over the products of the kernel generators.  Their table is
-    built on first use, and the list of the products c*s of an element s
-    the first time a generating set has s; a set shares them with every
+    c runs over the products of the kernel generators, by budget_products
+    at cost deg g per generator g, sorted by exponent vector.  Their table
+    is built on first use, and the list of the products c*s of an element
+    s the first time a generating set has s; a set shares them with every
     other set that has s (each level's set is in the next one's).  What a
     count learns about a derivation D is kept too: whether it kills every
     generator, and how far the chain D(s), D^2(s), ... of each element

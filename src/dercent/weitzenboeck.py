@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .derivation import Derivation
 from .errors import PreconditionError, RegistryError
@@ -207,15 +207,38 @@ class GeneratorSet:
         return {"level": self.level, "elements": self.elements}
 
 
+def budget_products(
+    costs: Sequence[int], budget: int, one: Any, extend: Callable[[Any, int], Any]
+) -> Iterator[tuple[tuple[int, ...], Any]]:
+    """(word, value) for every word j1 <= j2 <= ... of letter indices whose
+    costs (each >= 1) sum to at most the budget, depth first: each word
+    before its extensions by one letter j >= its last, in ascending j.
+    The empty word has the value `one`, and a word followed by j has
+    extend(its value, j): one call per nonempty word."""
+    if any(c < 1 for c in costs):
+        raise PreconditionError("letter costs must be >= 1")
+    if budget < 0:
+        return
+    stack = [(0, budget, (), one)]  # takes the extensions in reverse
+    push, top = stack.append, len(costs) - 1
+    while stack:
+        start, remaining, word, value = stack.pop()
+        yield word, value
+        for j in range(top, start - 1, -1):
+            cost = costs[j]
+            if cost <= remaining:
+                push((j, remaining - cost, word + (j,), extend(value, j)))
+
+
 def generator_set(n: int, kernel_gens: Sequence[Poly], level: int) -> GeneratorSet:
     """Products of Dhat-images of kernel generators with lowering budget.
 
     Enumerates all products Dhat^(k1)(a_i1) * ... * Dhat^(kt)(a_it) with
     every k_j >= 1 and k_1 + ... + k_t <= level - 1, plus the empty
-    product 1.  Vanishing factors are never used; duplicate elements
-    (after primitive-part normalization) keep their first factorization.
-    Elements are ordered by total degree, then descending graded-lex
-    leading monomial.
+    product 1, by budget_products over the nonzero Dhat^k(a_i), by i then
+    k, at cost k.  Duplicate elements (after primitive-part normalization)
+    keep the first factorization in that order.  Elements are ordered by
+    total degree, then descending graded-lex leading monomial.
     """
     if level < 1:
         raise PreconditionError("level must be >= 1")
@@ -225,9 +248,9 @@ def generator_set(n: int, kernel_gens: Sequence[Poly], level: int) -> GeneratorS
     dhat = sl2_triple(n).dhat if n >= 2 else None
     budget = level - 1
 
-    # alphabet[j] = (gen index, lowering power, the integer-primitive part
-    # of the nonzero image, its signed content: image = content * part)
-    alphabet: list[tuple[int, int, Poly, Fraction]] = []
+    # letter j: factors[j] = (gen index, lowering power), and the nonzero
+    # image = contents[j] * parts[j], parts[j] its integer-primitive part
+    factors, parts, contents = [], [], []
     for g_idx, g in enumerate(kernel_gens):
         image = g
         for k in range(1, budget + 1):
@@ -235,26 +258,21 @@ def generator_set(n: int, kernel_gens: Sequence[Poly], level: int) -> GeneratorS
             if not image:
                 break
             part = image.primitive_part()
-            content = Fraction(image.leading_coefficient()) / part.leading_coefficient()
-            alphabet.append((g_idx, k, part, content))
+            factors.append((g_idx, k))
+            parts.append(part)
+            contents.append(Fraction(image.leading_coefficient()) / part.leading_coefficient())
 
     # A product of integer-primitive polynomials with positive leading
     # coefficients is one too (Gauss's lemma), so the product of the parts
     # is the primitive part of the product of the images, and the product
     # of the contents is its scale.
-    # Depth first, each product before its extensions by alphabet[j] for
-    # j >= its last letter, in ascending j: the stack takes them in reverse.
     seen: dict[Poly, GenElement] = {}
-    stack = [(0, budget, Poly.constant(n, 1), Fraction(1), ())]
-    while stack:
-        start, remaining, product, scale, factors = stack.pop()
+    for word, (product, scale) in budget_products(
+        [k for _, k in factors], budget, (Poly.constant(n, 1), Fraction(1)),
+        lambda value, j: (value[0] * parts[j], value[1] * contents[j]),
+    ):
         if product not in seen:
-            seen[product] = GenElement(product, factors, scale)
-        for j in range(len(alphabet) - 1, start - 1, -1):
-            g_idx, k, part, content = alphabet[j]
-            if k <= remaining:
-                stack.append((j, remaining - k, product * part, scale * content,
-                              factors + ((g_idx, k),)))
+            seen[product] = GenElement(product, tuple(map(factors.__getitem__, word)), scale)
 
     def order_key(el: GenElement):
         lead = el.poly.leading_monomial()

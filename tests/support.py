@@ -693,10 +693,11 @@ def reference_generator_set(n: int, kernel_gens, level: int) -> GeneratorSet:
     return GeneratorSet(level, tuple(sorted(seen.values(), key=order_key)))
 
 
-# The recursive enumerations that `poly.monomials_of_degree` and
-# `oracle._multiplier_exponents` replaced: they recursed once per variable
-# and once per generator.  The loops must give the same lists in the same
-# order.
+# The recursive enumerations that `poly.monomials_of_degree` and the
+# exponent vectors of `oracle._multiplier_table` (the products of
+# `weitzenboeck.budget_products`, sorted) replaced: they recursed once per
+# variable and once per generator.  The loops must give the same lists in
+# the same order, for every budget >= 0.
 
 
 def reference_monomials_of_degree(nvars: int, degree: int) -> list[tuple]:

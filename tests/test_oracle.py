@@ -299,29 +299,61 @@ class TestOneElimination:
         assert not D(Poly(n, v))
 
 
+def degree_letters(gen_degrees):
+    """Kernel generators in one variable, of the given degrees."""
+    (x,) = Poly.variables(1)
+    return [x**d for d in gen_degrees]
+
+
 class TestMultiplierExponents:
+    # The table's rows are the products of budget_products, sorted by
+    # exponent vector: the order of the recursion they replaced.
     @pytest.mark.parametrize(
         "gen_degrees", [(), (1,), (3,), (1, 1, 2), (1, 2, 3), (2, 3, 4, 5, 6)]
     )
     def test_order_of_the_recursive_form(self, gen_degrees):
+        gens = degree_letters(gen_degrees)
         for budget in range(-1, 13):
-            assert oracle._multiplier_exponents(
-                gen_degrees, budget
-            ) == reference_multiplier_exponents(gen_degrees, budget)
+            table = oracle._multiplier_table(1, gens, budget)
+            # no product has a negative degree, not even the empty one,
+            # which the recursion still listed when there are no generators
+            expected = reference_multiplier_exponents(gen_degrees, budget) if budget >= 0 else []
+            assert [e for e, _, _ in table] == expected
+            for e, c, c_degree in table:
+                assert c_degree == sum(k * d for k, d in zip(e, gen_degrees))
+                assert c == Poly(1, {(c_degree,): 1})
 
     def test_more_generators_than_the_recursion_limit(self):
-        exps = oracle._multiplier_exponents([1] * 1100, 1)
+        exps = [e for e, _, _ in oracle._multiplier_table(1, degree_letters([1] * 1100), 1)]
         assert len(exps) == 1101
         assert exps[0] == (0,) * 1100 and exps[-1] == (1,) + (0,) * 1099
 
     def test_leaves_no_cyclic_garbage(self):
+        gens = degree_letters([1, 2, 2, 3])
         gc.collect()
         gc.disable()
         try:
-            assert oracle._multiplier_exponents([1, 2, 2, 3], 6)
+            assert oracle._multiplier_table(1, gens, 6)
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_one_multiplication_per_product(self, n, monkeypatch):
+        # each product is its parent's times one generator, never a power
+        # rebuilt from scratch
+        gens = registry_entry(n).generators
+        calls = Counter()
+        inner = Poly.__mul__
+
+        def counted(self, other):
+            calls[type(other)] += 1
+            return inner(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counted)
+        table = oracle._multiplier_table(n, gens, 8)
+        assert len(table) > len(gens) + 1
+        assert calls == {Poly: len(table) - 1}
 
 
 class TestModuleSpanCheck:
@@ -838,9 +870,18 @@ class TestRegistry:
         assert list(registry_entry(3).generators) == [a1, a2]
 
     def test_shipped_file_matches_regeneration(self):
-        from dercent.registry import load_registry, regenerate_registry
+        # byte for byte; the candidate search reads its products from the
+        # multiplier table
+        from dercent.registry import (
+            default_registry_text,
+            load_registry,
+            regenerate_registry,
+            registry_to_json,
+        )
 
-        assert regenerate_registry() == load_registry()
+        regenerated = regenerate_registry()
+        assert regenerated == load_registry()
+        assert registry_to_json(regenerated) + "\n" == default_registry_text()
 
     def test_missing_entry(self):
         from dercent.errors import RegistryError

@@ -70,6 +70,7 @@ def test_linalg_hooks_accept_what_the_oracle_passes():
     from dercent.oracle import (
         centralizer_basis,
         derivation_span_equal,
+        kernel_generator_candidates,
         kernel_power_basis,
         module_span_check,
         rank_over_fractions,
@@ -88,6 +89,8 @@ def test_linalg_hooks_accept_what_the_oracle_passes():
         assert derivation_span_equal(basis, basis[::-1])
         assert rank_over_fractions(basis).rank == 3
         assert len(matrix_commutant(matrix([[0, 0], [1, 0]]))) == 2
+        # the candidate search is the one caller of rref
+        assert kernel_generator_candidates(3, 2) == list(gens)
     finally:
         tracer.uninstall()
     assert spans.wrapped_bindings() == []

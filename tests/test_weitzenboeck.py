@@ -13,6 +13,7 @@ from dercent.oracle import centralizer_basis
 from dercent.poly import Poly
 from dercent.registry import registry_entry
 from dercent.weitzenboeck import (
+    budget_products,
     centralizer_generators,
     commuting_derivation,
     generator_set,
@@ -141,6 +142,29 @@ class TestCommutingDerivation:
         for T in centralizer_basis(D3, 2):
             f = T.coeffs[2]
             assert commuting_derivation(f, 3) == T
+
+
+class TestBudgetProducts:
+    def test_each_word_before_its_extensions(self):
+        extended = []
+
+        def extend(value, j):
+            extended.append(j)
+            return value + 1
+
+        products = list(budget_products([1, 2], 3, 0, extend))
+        assert [w for w, _ in products] == [(), (0,), (0, 0), (0, 0, 0), (0, 1), (1,)]
+        # one extension per nonempty word, its value the parent's extended
+        assert all(value == len(word) for word, value in products)
+        assert len(extended) == len(products) - 1
+
+    def test_negative_budget_has_no_product(self):
+        assert list(budget_products([1], -1, 0, lambda v, j: v)) == []
+
+    def test_free_letter_refused(self):
+        # a letter of cost 0 would extend a word forever
+        with pytest.raises(PreconditionError):
+            list(budget_products([1, 0], 2, 0, lambda v, j: v))
 
 
 class TestGeneratorSet:
