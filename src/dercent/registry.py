@@ -11,8 +11,9 @@ looked; below that degree the entries provably span the kernel.
 Loading checks only that each entry sits under its own n with n-variable
 generators; other structural problems surface when the construction
 checks that every generator-set element is annihilated by the n-th power
-of the derivation.  `centralizer_generators` settles that check before
-it returns, so `centralizer` refuses a corrupt entry before any output.
+of the derivation.  `weitzenboeck.Ladders` settles that check when it is
+built, so `centralizer` refuses a corrupt entry before any output and
+`verify` reports it once for every item that reads the ladders.
 """
 
 from __future__ import annotations

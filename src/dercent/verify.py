@@ -20,13 +20,16 @@ remain the counting bounds for a general linear D.  `oracle verify-thm2`
 always solves over Q, because it prints the witnesses.
 
 A run builds what its items share once: one chain of D^i images of the
-unit monomials (for the exact kernel bases and the [., D] systems) and
-one table of span products c*s (for every level).
+unit monomials (for the exact kernel bases and the [., D] systems), one
+table of span products c*s (for every level) and one checked Ladders of
+the level-n set.  The commutation item walks the ladders; the rank item
+ranks the first n, and all of them only if those fall short of rank n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -54,7 +57,6 @@ from .oracle import (
 from .poly import Poly
 from .registry import registry_entry
 from .weitzenboeck import (
-    CentralizerGenerator,
     GeneratorSet,
     Ladders,
     commuting_derivation,
@@ -89,9 +91,11 @@ class VerificationRun:
     Each is built on first use and kept on the instance, so the checks of
     one run share it and a new run builds it afresh.  A construction that
     raised is kept as its exception: every later use re-raises the same
-    object instead of building it again.  So are the intermediates the
-    oracle shares between checks: the chain of D^i images of the unit
-    monomials and the span products, each filled in as checks need it.
+    object instead of building it again, so a corrupt registry is one
+    RegistryError from the Ladders for every item that reads them.  So
+    are the intermediates the oracle shares between checks: the chain of
+    D^i images of the unit monomials and the span products, each filled
+    in as checks need it.
     """
 
     def __init__(self, n: int, degree: int, kernel_gens: Sequence[Poly] = ()):
@@ -130,10 +134,9 @@ class VerificationRun:
         )
 
     @property
-    def generators(self) -> list[CentralizerGenerator]:
+    def ladders(self) -> Ladders:
         return self._once(
-            ("generators",),
-            lambda: list(Ladders(self.n, self.generator_set(self.n))),
+            ("ladders",), Ladders, self.n, self.generator_set(self.n), self.kernel_gens
         )
 
     def span_check(self, level: int):
@@ -240,14 +243,14 @@ def run_verification(
         )
 
     def check_commutation():
-        for g in run.generators:
+        for g in run.ladders:
             if not g.derivation.commutes(D):
                 return (
                     False,
                     f"generator from s = {g.element.poly} does not commute",
                     {"element": g.element},
                 )
-        count = len(run.generators)
+        count = len(run.ladders)
         return True, f"all {count} constructed generators commute exactly", None
 
     def check_ladder():
@@ -274,7 +277,10 @@ def run_verification(
         )
 
     def check_rank():
-        result = rank_over_fractions([g.derivation for g in run.generators], seed=seed)
+        first = [g.derivation for g in islice(run.ladders, n)]
+        result = rank_over_fractions(first, seed=seed)
+        if result.rank < n:
+            result = rank_over_fractions([g.derivation for g in run.ladders], seed=seed)
         return (
             result.rank == n,
             f"rank {result.rank} over the fraction field (expected {n}), "

@@ -300,17 +300,23 @@ class CentralizerGenerator:
 class Ladders:
     """The centralizer generators of a generator set, each built when read.
 
-    One derivation per element s, with ladder D^(n-i)(s).  Every s must
-    satisfy D^n(s) = 0; one that does not comes from kernel generators
-    that are not kernel elements, and building its ladder raises
-    RegistryError.  `len` is the number of elements of the set.  Each
-    iteration builds the ladders anew, one per element in turn, and keeps
-    none, so a writer holds one ladder at a time; a caller that reads
-    them more than once keeps a list.
+    One derivation per element s, with ladder D^(n-i)(s).  Construction
+    checks that every s satisfies D^n(s) = 0.  When every kernel generator
+    g has D(g) = 0 that holds without building a ladder: D^(k+1) Dhat^k g
+    = 0 in the sl2 representation, so by Leibniz D^n kills every product
+    of such images whose lowering powers sum to at most n-1.  Otherwise
+    one walk builds each ladder, and drops it, and raises RegistryError at
+    the first element outside Ker D^n.  `len` is the number of elements of
+    the set.  Each iteration builds the ladders anew, one per element in
+    turn, and keeps none, so a reader holds one ladder at a time.
     """
 
-    def __init__(self, n: int, S: GeneratorSet):
+    def __init__(self, n: int, S: GeneratorSet, kernel_gens: Sequence[Poly]):
         self.n, self.set = n, S
+        D = weitzenboeck_derivation(n)
+        if any(D(g) for g in kernel_gens):
+            for _ in self:
+                pass
 
     def __len__(self) -> int:
         return len(self.set.elements)
@@ -331,20 +337,7 @@ class Ladders:
 
 
 def centralizer_generators(n: int, kernel_gens: Sequence[Poly]) -> Ladders:
-    """Module generators of the centralizer of the Weitzenboeck derivation.
-
-    The ladders of the level-n generator set, as Ladders that build each
-    one when it is read.  Every element s is checked to satisfy D^n(s) = 0
-    before this returns, so a corrupt registry raises RegistryError
-    before any ladder is read.  When every kernel generator g has
-    D(g) = 0 that holds without building a ladder: D^(k+1) Dhat^k g = 0
-    in the sl2 representation, so by Leibniz D^n kills every product of
-    such images whose lowering powers sum to at most n-1.  Otherwise
-    every ladder is built once, and dropped, to check its element.
-    """
-    ladders = Ladders(n, generator_set(n, kernel_gens, n))
-    D = weitzenboeck_derivation(n)
-    if any(D(g) for g in kernel_gens):
-        for _ in ladders:
-            pass
-    return ladders
+    """Module generators of the centralizer of the Weitzenboeck derivation:
+    the Ladders of the level-n generator set, so a corrupt registry raises
+    RegistryError before any ladder is read."""
+    return Ladders(n, generator_set(n, kernel_gens, n), kernel_gens)

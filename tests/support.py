@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
+from pathlib import Path
 
 import dercent.verify
 from dercent.derivation import Derivation
@@ -176,6 +180,39 @@ def count_unit_applications(monkeypatch) -> Counter:
     monkeypatch.setattr(PowerChain, "_block", block)
     monkeypatch.setattr(Derivation, "__call__", call)
     return calls
+
+
+# Run by a small Python process: the dercent child it spawns, waits for
+# and reports on starts from that process's memory, not the caller's.
+_PEAK_RSS = """
+import os, sys
+pid = os.posix_spawn(
+    sys.executable, [sys.executable, "-m", "dercent", *sys.argv[1:]], os.environ,
+    file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)],
+)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def fresh_process_peak_rss(*argv: str) -> tuple[int, float]:
+    """(exit code, peak resident MB) of `python -m dercent *argv` in a
+    fresh process with its stdout discarded.
+
+    The peak is that child's own ru_maxrss, read with os.wait4
+    (RUSAGE_CHILDREN is the largest over every child).  A child's
+    ru_maxrss counts the memory of the process it was forked from until
+    it execs, so the child is spawned by a small Python process, not by
+    the caller, whose peak (a test session's) would be read instead.
+    """
+    src = str(Path(dercent.verify.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    code, kilobytes = out.split()
+    return int(code), int(kilobytes) / 1024
 
 
 def write_registry(path, n, generators) -> str:

@@ -1,13 +1,15 @@
 """Verification suite: what a run builds, how often and at which size."""
 
-from dercent import oracle
+from dercent import oracle, weitzenboeck
+from dercent.oracle import RankResult
 from dercent.poly import Poly
 from dercent.registry import load_registry
-from dercent.verify import DECOMPOSE_DEGREE_CAP, run_verification
+from dercent.verify import DECOMPOSE_DEGREE_CAP, ItemResult, run_verification
 
 from support import (
     count_calls,
     count_unit_applications,
+    fresh_process_peak_rss,
     monomials_up_to_degree,
     write_registry,
 )
@@ -87,3 +89,43 @@ def test_decompose_item_runs_at_its_own_cap(monkeypatch):
     assert ladder.detail.startswith("ResourceLimitError: 105 unknowns")
     assert items["constants-decomposition-roundtrip"].ok
     assert all(item.ok for name, item in items.items() if name != ladder.name)
+
+
+def test_passing_run_builds_each_ladder_once_and_n_more(monkeypatch):
+    # the commutation item walks the level-4 set once, the rank item reads
+    # its first 4 ladders; the construction's check builds none
+    calls = count_calls(monkeypatch, "commuting_derivation", module=weitzenboeck)
+    size = len(weitzenboeck.generator_set(4, load_registry()[4].generators, 4).elements)
+    assert all(item.ok for item in run_verification(4, 3))
+    assert calls == {None: size + 4}
+
+
+def test_rank_item_ranks_the_whole_family_when_the_first_n_fall_short(
+    monkeypatch, tmp_path
+):
+    # x1*x3 - x2^2/2 has weight 0, so the level-3 set is {1}: its one ladder
+    # falls short of rank 3, and the second call ranks the whole family.
+    # The item below was recorded when that was the item's only call.
+    generators = load_registry()[3].generators[1:]
+    path = write_registry(tmp_path / "a2_registry.json", 3, generators)
+    calls = count_calls(
+        monkeypatch, "rank_over_fractions", key=lambda args: len(args[0])
+    )
+    items = {item.name: item for item in run_verification(3, 3, registry_path=path)}
+    assert calls == {1: 2}
+    assert items["fraction-rank"] == ItemResult(
+        "fraction-rank",
+        False,
+        "rank 1 over the fraction field (expected 3), method sampled",
+        RankResult(
+            1, "sampled", ((770880, -192083, 589545), (866976, -117998, -915099)),
+            (1, 1),
+        ),
+    )
+
+
+def test_verify_n6_peak_memory():
+    # 65.0 MB while the run listed all 1,315 ladders of the n=6 level set
+    code, peak_mb = fresh_process_peak_rss("verify", "--n", "6", "--deg", "1")
+    assert code == 0
+    assert peak_mb < 40

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from dercent import weitzenboeck
 from dercent.derivation import Derivation
 from dercent.errors import PreconditionError, RegistryError
 from dercent.linalg import solve_many
@@ -25,6 +26,7 @@ from dercent.weitzenboeck import (
 )
 
 from support import (
+    count_calls,
     match_up_to_scalar,
     monomials_up_to_degree,
     poly_scalar_multiple,
@@ -106,9 +108,10 @@ class TestWeights:
 class TestCommutingDerivation:
     def test_ladders_of_a_set_share_one_derivation(self):
         # D is built once per n and kept, not once per ladder
-        S = generator_set(4, registry_entry(4).generators, 4)
+        gens = registry_entry(4).generators
+        S = generator_set(4, gens, 4)
         weitzenboeck_derivation.cache_clear()
-        ladders = Ladders(4, S)
+        ladders = Ladders(4, S, gens)
         assert len(ladders) == len(S.elements) > 1
         assert all(g.derivation == commuting_derivation(g.element.poly, 4) for g in ladders)
         assert weitzenboeck_derivation.cache_info().misses == 1
@@ -326,6 +329,22 @@ class TestCentralizerGenerators:
     def test_corrupt_registry_rejected(self):
         with pytest.raises(RegistryError):
             centralizer_generators(3, [a1, a2, x2])
+
+
+class TestLadders:
+    def test_construction_rejects_an_element_outside_the_kernel_power(self):
+        # x2 is not a kernel element, so its products leave Ker D^3
+        gens = registry_entry(3).generators + (x2,)
+        with pytest.raises(RegistryError, match="not annihilated"):
+            Ladders(3, generator_set(3, gens, 3), gens)
+
+    def test_kernel_generators_build_no_ladder_until_read(self, monkeypatch):
+        # every D(g) = 0, so the sl2 argument settles the check
+        calls = count_calls(monkeypatch, "commuting_derivation", module=weitzenboeck)
+        gens = registry_entry(4).generators
+        ladders = Ladders(4, generator_set(4, gens, 4), gens)
+        assert calls == {}
+        assert len(list(ladders)) == calls[None] == len(ladders) > 1
 
 
 class TestGradedStructure:
